@@ -6,6 +6,29 @@ them*.  At the switch those pages are clean with valid swap copies and
 can be discarded without I/O, shortening the page-out burst.  Pages the
 job re-dirties after being cleaned are written again; that repeated
 writing is the §3.4 cost the 10 %-of-quantum tuning minimises.
+
+Burst order
+-----------
+Each burst writes the ``batch_pages`` oldest dirty resident pages, key
+``(last_ref, page)`` — exactly ``argsort(last_ref[dirty],
+kind="stable")`` over the ascending dirty-resident set.  The writer
+keeps that order in an oldest-first queue instead of re-sorting the set
+for every burst.  The queue is sorted once per value of the table's
+order counter (:attr:`~repro.mem.page_table.PageTable.order_epoch`),
+which only the mutators that can add a dirty-resident page or move a
+``last_ref`` key bump.  Everything else — the writer's own
+``mark_clean`` / ``assign_slots``, and evictions — is shrink-only: it
+removes pages from the set and so cannot reorder the rest.  A burst
+therefore walks the queue from a head cursor, skips entries that have
+left the set, and takes the first ``batch_pages`` that have not.  Pages
+an in-flight fault pins stay dirty, and stay at their place in the
+queue, for the next burst.  The same walk answers the stop-time
+``bg_deadline_misses`` question; only a stale queue with no live entry
+falls back to a scan of the table.
+
+The queue and its table reference live only while the writer runs:
+:meth:`BackgroundWriter.stop`, the job's exit and a failed write all
+drop them, so an idle writer pins no page table between quanta.
 """
 
 from __future__ import annotations
@@ -16,10 +39,63 @@ import numpy as np
 
 from repro.disk.device import PRIO_BACKGROUND
 from repro.faults.errors import DiskFailure
+from repro.mem.page_table import PageTable
 from repro.mem.replacement import VictimBatch
 from repro.mem.vmm import VirtualMemoryManager
 from repro.obs.registry import NULL_OBS
 from repro.sim.engine import Interrupt, Process
+
+
+class _DirtyQueue:
+    """One table's dirty-resident pages, oldest first (see module doc)."""
+
+    def __init__(self, table: PageTable) -> None:
+        self.table = table
+        self._sort()
+
+    def _sort(self) -> None:
+        t = self.table
+        self.order = t.order_epoch
+        dirty = np.flatnonzero(t.present & (t.dirty | (t.swap_slot < 0)))
+        self.pages = dirty[np.argsort(t.last_ref[dirty], kind="stable")]
+        self.head = 0
+
+    @property
+    def current(self) -> bool:
+        """True while no order-changing mutation happened since the sort."""
+        return self.order == self.table.order_epoch
+
+    def take(self, n: int) -> np.ndarray:
+        """The ``n`` oldest dirty resident pages, ascending."""
+        if not self.current:
+            self._sort()
+        return self.walk(n)
+
+    def walk(self, n: int) -> np.ndarray:
+        """Up to ``n`` queued pages still dirty resident, ascending.
+
+        Membership is read from the table, so a found page is dirty
+        resident even when the queue is stale; only a current queue is
+        guaranteed to hold *every* such page, in order.
+        """
+        t = self.table
+        pages, head = self.pages, self.head
+        # the previous burst's pages usually lead the walk, now clean
+        k = 2 * n
+        while True:
+            chunk = pages[head:head + k]
+            live = np.flatnonzero(
+                t.present[chunk] & (t.dirty[chunk] | (t.swap_slot[chunk] < 0))
+            )
+            if live.size >= n or head + k >= pages.size:
+                break
+            k *= 2
+        if live.size == 0:
+            self.head = pages.size
+            return chunk[:0]
+        # entries before the first live one have left the set for good
+        self.head = head + int(live[0])
+        return np.sort(chunk[live[:n]])
 
 
 class BackgroundWriter:
@@ -48,6 +124,7 @@ class BackgroundWriter:
         self.poll_s = poll_s
         self._proc: Optional[Process] = None
         self._pid: Optional[int] = None
+        self._queue: Optional[_DirtyQueue] = None
         #: pages written by the writer, cumulatively (for the §3.4
         #: repeated-writing analysis)
         self.pages_written = 0
@@ -87,32 +164,42 @@ class BackgroundWriter:
         burst is started.
         """
         if self.active:
-            if self._obs_on:
-                table = self.vmm.tables.get(self._pid)
-                if table is not None and table.index.dirty_resident_pages().size:
-                    self._c_misses.inc()
+            if self._obs_on and self._dirty_left():
+                self._c_misses.inc()
             self._proc.interrupt("stop_bgwrite")
         self._proc = None
         self._pid = None
+        self._queue = None
+
+    def _dirty_left(self) -> bool:
+        """Whether the job still has a dirty resident page."""
+        table = self.vmm.tables.get(self._pid)
+        if table is None:
+            return False
+        queue = self._queue
+        if queue is not None and queue.table is table:
+            if queue.walk(1).size:
+                return True
+            if queue.current:
+                return False
+        return table.dirty_resident_pages().size > 0
 
     def _run(self, pid: int):
         vmm = self.vmm
+        queue = None
         try:
             while True:
                 table = vmm.tables.get(pid)
                 if table is None:
                     return  # process exited
-                # epoch-cached view: between polls with no intervening
-                # page-state mutation this is a dictionary lookup, not a
-                # full-array rescan
-                dirty = table.index.dirty_resident_pages()
-                if dirty.size == 0:
-                    yield vmm.env.timeout(self.poll_s)
-                    continue
+                if queue is None:
+                    queue = self._queue = _DirtyQueue(table)
                 # Write oldest-referenced dirty pages first: they are the
                 # least likely to be re-dirtied before the switch.
-                order = np.argsort(table.last_ref[dirty], kind="stable")
-                burst = np.sort(dirty[order][: self.batch_pages])
+                burst = queue.take(self.batch_pages)
+                if burst.size == 0:
+                    yield vmm.env.timeout(self.poll_s)
+                    continue
                 yield from vmm.evict_batch(
                     VictimBatch(pid, burst),
                     priority=PRIO_BACKGROUND,
@@ -131,6 +218,10 @@ class BackgroundWriter:
             self.write_failures += 1
             self._c_failures.inc()
             return
+        finally:
+            # a restarted writer may already own a newer queue
+            if self._queue is queue:
+                self._queue = None
 
 
 __all__ = ["BackgroundWriter"]

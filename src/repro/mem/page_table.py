@@ -26,6 +26,23 @@ between mutations instead of rescanning the arrays.  ``referenced`` and
 them, and the clock policies clear reference bits on every sweep.
 State must therefore be mutated through the methods below (or followed
 by an explicit epoch bump), never by writing the arrays directly.
+
+Order counter
+-------------
+:attr:`PageTable.order_epoch` is a second, coarser counter for the
+§3.4 background writer's oldest-first dirty queue (key ``(last_ref,
+page)`` over the dirty-resident set ``present & (dirty | swap_slot <
+0)``).  It is bumped only by the mutators that can *add* a page to that
+set or change a key: :meth:`~PageTable.record_access`,
+:meth:`~PageTable.record_access_runs`, :meth:`~PageTable.set_last_ref`,
+:meth:`~PageTable.set_last_ref_values`, :meth:`~PageTable.make_resident`
+and :meth:`~PageTable.release_slots`.  The other three —
+:meth:`~PageTable.mark_clean`, :meth:`~PageTable.assign_slots` and
+:meth:`~PageTable.evict` — are *shrink-only*: they can only remove pages
+from the set and never touch ``last_ref``, and removing members leaves
+the relative order of the rest unchanged.  A queue sorted while the
+counter had a given value therefore stays correct, minus the pages that
+have since left the set, until the counter moves.
 """
 
 from __future__ import annotations
@@ -62,6 +79,9 @@ class PageTable:
         self.clock_hand = 0
         #: mutation epoch — bumped by every state-changing method
         self.epoch = 0
+        #: order counter — bumped only by mutators that can grow the
+        #: dirty-resident set or move a ``last_ref`` key (see module doc)
+        self.order_epoch = 0
         # O(1) resident-set size, maintained by make_resident/evict
         self._resident_count = 0
         #: epoch-cached views (resident / dirty / clean / candidates)
@@ -142,6 +162,7 @@ class PageTable:
                 raise ValueError("dirty mask shape mismatch")
             self.dirty[pages[mask]] = True
         self.epoch += 1
+        self.order_epoch += 1
 
     def record_access_runs(
         self,
@@ -176,6 +197,7 @@ class PageTable:
                     raise ValueError("dirty mask shape mismatch")
                 dirty_arr[pages[mask]] = True
         self.epoch += 1
+        self.order_epoch += 1
 
     def set_last_ref(self, pages: np.ndarray, now: float) -> None:
         """Stamp ``last_ref`` only (a fault-time reference: the freshly
@@ -184,6 +206,7 @@ class PageTable:
             return
         self.last_ref[pages] = now
         self.epoch += 1
+        self.order_epoch += 1
 
     def set_last_ref_values(self, pages: np.ndarray,
                             values: np.ndarray) -> None:
@@ -197,6 +220,7 @@ class PageTable:
             return
         self.last_ref[pages] = values
         self.epoch += 1
+        self.order_epoch += 1
 
     def make_resident(self, pages: np.ndarray) -> None:
         """Flip ``pages`` to present (frames must already be accounted).
@@ -213,6 +237,7 @@ class PageTable:
         self.referenced[pages] = True
         self._resident_count += int(pages.size)
         self.epoch += 1
+        self.order_epoch += 1
 
     def evict(self, pages: np.ndarray) -> None:
         """Flip ``pages`` to non-present (slots must be assigned for any
@@ -255,6 +280,7 @@ class PageTable:
         self.swap_slot[pages] = -1
         if pages.size:
             self.epoch += 1
+            self.order_epoch += 1
         return slots
 
     def clear_referenced(self, pages: np.ndarray | None = None) -> None:
