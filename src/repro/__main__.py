@@ -25,8 +25,8 @@ backoff), ``--cell-timeout SECONDS`` (fixed per-cell deadline; hung
 workers are killed and the cell rescheduled) and ``--resume`` (skip
 cells a previous interrupted run already completed, via the journal
 under ``results/.sweepjournal``).  Any of them installs the sweep
-supervisor (``repro.perf.supervisor``): worker crashes rebuild the
-pool instead of sinking the sweep, and cells that exhaust their
+supervisor (``repro.perf.supervisor``): a crashed worker is respawned
+instead of sinking the sweep, and cells that exhaust their
 retries are quarantined under the reserved ``"_failed"`` key of the
 merged record.
 
@@ -321,7 +321,6 @@ def _supervisor_finish(supervisor) -> None:
     s = supervisor.stats
     print(f"\nsupervisor: {s['completed']} cells completed, "
           f"{s['resumed']} resumed, {s['retries']} retries, "
-          f"{s['rebuilds']} pool rebuilds, "
           f"{s['respawns']} worker respawns, "
           f"{s['timeouts']} timeouts, "
           f"{s['deadline_extensions']} deadline extensions, "
@@ -549,13 +548,14 @@ def main(argv=None) -> int:
     def add_backend_flag(p) -> None:
         """The executor-backend selector shared by run/all/replicate."""
         p.add_argument("--backend", default="auto",
-                       choices=("auto", "serial", "pool", "persistent"),
+                       choices=("auto", "serial", "persistent"),
                        help="sweep executor backend: 'persistent' = warm "
                             "worker processes reused across sweeps "
-                            "(default via 'auto'), 'pool' = legacy "
-                            "spawn-per-sweep pool, 'serial' = in-process; "
+                            "(default via 'auto'), 'serial' = in-process; "
                             "merged results are byte-identical across "
-                            "backends")
+                            "backends.  Supervised sweeps (--max-retries, "
+                            "--cell-timeout, --resume) always use "
+                            "persistent workers")
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("experiment", help="experiment key (see `list`)")

@@ -7,8 +7,8 @@ run sweep cells under :class:`repro.perf.supervisor.Supervisor`.  Three
 kinds are supported:
 
 * ``crash`` — the worker calls ``os._exit`` before running the cell,
-  which surfaces in the parent as ``BrokenProcessPool`` (the supervisor
-  must rebuild the pool and retry);
+  which surfaces in the parent as a dead worker (the supervisor must
+  respawn it and retry the cell);
 * ``hang`` — the worker sleeps for ``hang_s`` before running the cell,
   which trips the supervisor's per-cell deadline watchdog;
 * ``slow`` — the worker sleeps for ``slow_start_s`` before running the
@@ -28,7 +28,8 @@ drawn by hashing rather than from a stateful RNG, so:
   so an injected crash does not deterministically recur on the retry —
   exactly the transient-fault shape the supervisor is built to absorb.
 
-A plan is only consulted by the supervisor's worker-side shim; ordinary
+A plan is only consulted by the persistent worker
+(:mod:`repro.perf.worker`) during supervised sweeps; ordinary
 ``run_cells`` execution never sees it.  It is injectable only from
 tests and via the hidden ``--chaos`` CLI flag.
 """

@@ -26,7 +26,7 @@ closes the gap with four pieces:
   with the summed view exactly (additive merges in the same order).
 
 * **Supervisor event log.**  :class:`SweepEventLog` records every
-  retry, grace extension, hung-kill, pool rebuild and quarantine as a
+  retry, grace extension, hung-kill, worker respawn and quarantine as a
   structured entry correlated by cell key + attempt; with journaling
   on it is mirrored to ``<sweep_id>.events.jsonl`` next to the sweep
   journal.  :func:`load_events` / :func:`render_event_table` read a
@@ -257,8 +257,8 @@ class SweepEventLog:
     seconds), ``event``, and — for cell-scoped events — ``key`` (the
     cell key's repr) and ``attempt`` (failed attempts charged so far),
     plus event-specific detail fields.  Event names emitted by the
-    supervisor: ``sweep_begin``, ``resumed``, ``retry``,
-    ``grace_extension``, ``hung_kill``, ``pool_rebuild``,
+    supervisor: ``sweep_begin``, ``resumed``, ``persistent_begin``,
+    ``retry``, ``grace_extension``, ``hung_kill``, ``worker_respawn``,
     ``requeued``, ``quarantine``, ``cell_done``.
     """
 

@@ -1,12 +1,11 @@
 """Parallel experiment execution (cell pool), pluggable executor
-backends (serial / legacy pool / persistent warm workers), supervised
-resilient sweeps, result caching and perf instrumentation."""
+backends (serial / persistent warm workers), supervised resilient
+sweeps, result caching and perf instrumentation."""
 
 from repro.perf.backend import (
     BACKENDS,
     ExecutorBackend,
     PersistentBackend,
-    PoolBackend,
     SerialBackend,
     get_default_backend,
     resolve_backend,
@@ -48,7 +47,6 @@ __all__ = [
     "FAILED_KEY",
     "PersistentBackend",
     "PersistentExecutor",
-    "PoolBackend",
     "QuarantinedCells",
     "SerialBackend",
     "SpecTable",

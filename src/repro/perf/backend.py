@@ -1,15 +1,11 @@
 """Pluggable sweep executor backends.
 
-:func:`repro.perf.pool.run_cells` and the PR 6
-:class:`~repro.perf.supervisor.Supervisor` no longer hard-code *how*
-cells reach worker processes — they execute through an
+:func:`repro.perf.pool.run_cells` does not hard-code *how* cells
+reach worker processes — it executes through an
 :class:`ExecutorBackend`:
 
 * ``"serial"`` — in-process, one cell at a time (forced even when
   ``jobs > 1``; useful for debugging and as the identity baseline);
-* ``"pool"`` — the legacy spawn-per-sweep
-  :class:`~concurrent.futures.ProcessPoolExecutor`, kept for
-  comparison benchmarks and as the conservative fallback;
 * ``"persistent"`` — the PR 10 warm-worker executor with zero-copy
   spec-table dispatch and work stealing
   (:mod:`repro.perf.persistent`); the default for parallel sweeps.
@@ -36,17 +32,14 @@ Selection
 ---------
 ``run_cells(backend=...)`` > process default
 (:func:`set_default_backend`, installed by the CLI ``--backend`` flag)
-> the ``REPRO_BACKEND`` env var > the built-in default (``persistent``
-for the bare path).  The supervisor resolves through the same chain
-but falls back to the legacy ``pool`` backend, whose
-rebuild-the-world semantics its historical contract (and test suite)
-pins; it also maps ``serial`` to ``pool`` because supervision without
-process isolation could neither contain crashes nor cancel hangs.
+> the ``REPRO_BACKEND`` env var > the built-in default
+(``persistent``).  The supervisor does not consult the chain at all:
+supervision needs process isolation to contain crashes and cancel
+hangs, so it always drives the persistent executor.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Optional, Sequence
 
@@ -88,25 +81,6 @@ class SerialBackend(ExecutorBackend):
         from repro.perf.pool import _execute
 
         return [_execute(cell, capture) for cell in cells]
-
-
-class PoolBackend(ExecutorBackend):
-    """Legacy spawn-per-sweep ``ProcessPoolExecutor`` fan-out."""
-
-    name = "pool"
-
-    def run(self, cells, jobs, capture, prints=None):
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.perf.pool import _execute
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells))
-        ) as pool:
-            # map() yields results in submission order regardless of
-            # which worker finishes first — the merge is deterministic
-            return list(pool.map(_execute, cells,
-                                 itertools.repeat(capture)))
 
 
 class PersistentBackend(ExecutorBackend):
@@ -186,8 +160,7 @@ class PersistentBackend(ExecutorBackend):
 
 #: singleton registry — backends are stateless policy objects
 BACKENDS: dict[str, ExecutorBackend] = {
-    b.name: b for b in (SerialBackend(), PoolBackend(),
-                        PersistentBackend())
+    b.name: b for b in (SerialBackend(), PersistentBackend())
 }
 
 _default_backend: Optional[str] = None
@@ -210,16 +183,12 @@ def set_default_backend(name: Optional[str]) -> None:
     _default_backend = name
 
 
-def resolve_backend(spec=None, *,
-                    for_supervisor: bool = False) -> ExecutorBackend:
+def resolve_backend(spec=None) -> ExecutorBackend:
     """Resolve a backend: explicit > default > env > built-in.
 
     ``spec`` may be an :class:`ExecutorBackend` instance (used as is —
     the seam a multi-host dispatcher plugs into), a registry name, or
-    ``None``/``"auto"`` to walk the default chain.  With
-    ``for_supervisor=True`` the built-in fallback is the legacy
-    ``pool`` backend and ``serial`` is promoted to ``pool`` (the
-    supervisor requires process isolation).
+    ``None``/``"auto"`` to walk the default chain.
     """
     if isinstance(spec, ExecutorBackend):
         return spec
@@ -232,9 +201,7 @@ def resolve_backend(spec=None, *,
         if name == AUTO:
             name = None
     if name is None:
-        name = "pool" if for_supervisor else "persistent"
-    if for_supervisor and name == "serial":
-        name = "pool"
+        name = "persistent"
     try:
         return BACKENDS[name]
     except KeyError:
@@ -260,7 +227,6 @@ __all__ = [
     "BACKEND_ENV",
     "ExecutorBackend",
     "PersistentBackend",
-    "PoolBackend",
     "SerialBackend",
     "get_default_backend",
     "resolve_backend",

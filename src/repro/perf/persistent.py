@@ -1,9 +1,8 @@
 """Persistent warm-worker executor with work stealing.
 
-The legacy sweep path (:mod:`repro.perf.pool`) builds a fresh
-``ProcessPoolExecutor`` per sweep: every worker re-imports the whole
-simulation stack, every cell re-pickles its full payload, and the
-BENCH_PR2 result — parallel *slower* than serial at 0.74× — is the
+A spawn-per-sweep process pool makes every worker re-import the whole
+simulation stack and every cell re-pickle its full payload; the
+BENCH_PR2 result — parallel *slower* than serial at 0.74× — was the
 bill.  :class:`PersistentExecutor` amortises all of it:
 
 * **Warm workers.**  Worker processes are spawned once (forkserver
@@ -16,7 +15,7 @@ bill.  :class:`PersistentExecutor` amortises all of it:
 * **Compact dispatch.**  A sweep begins by shipping one shared
   read-only :class:`~repro.perf.spec.SpecTable`; after that each task
   message is a ``(generation, index, attempt, fingerprint)``
-  descriptor and each worker rebuilds the cell zero-copy from the
+  descriptor and each worker reconstructs the cell zero-copy from the
   table.
 * **Sweep generations.**  Every sweep gets a generation number carried
   in task and result messages, so results of an abandoned sweep (the
@@ -60,6 +59,10 @@ from repro.perf.spec import SpecTable
 
 #: env override for the multiprocessing start method
 START_METHOD_ENV = "REPRO_MP_START"
+
+#: how long :meth:`PersistentExecutor.poll` waits for a worker whose
+#: pipe hung up to exit, so its exit code can be reported
+_DEATH_JOIN_S = 2.0
 
 _CTX = None
 
@@ -378,6 +381,9 @@ class PersistentExecutor:
             # a worker may exit cleanly after sending its last result:
             # drain whatever is buffered before declaring it dead
             self._drain(worker, events)
+            # the pipe EOF can beat the process exit: join (bounded) so
+            # the exit code is read from a reaped process, not None
+            worker.proc.join(timeout=_DEATH_JOIN_S)
             exitcode = worker.proc.exitcode
             task = worker.task
             gen = worker.gen

@@ -6,9 +6,8 @@ described by a picklable callable plus keyword arguments.  The pool runs
 the cells either serially in-process (``jobs=1``, the default) or
 through a pluggable :class:`~repro.perf.backend.ExecutorBackend` —
 by default the PR 10 persistent warm-worker executor
-(:mod:`repro.perf.persistent`), optionally the legacy spawn-per-sweep
-``ProcessPoolExecutor`` (``backend="pool"``) — and returns results
-keyed by each cell's declared key **in cell-declaration order**.
+(:mod:`repro.perf.persistent`) — and returns results keyed by each
+cell's declared key **in cell-declaration order**.
 
 Determinism contract
 --------------------
@@ -19,9 +18,9 @@ Parallel output is bit-for-bit identical to serial output:
   jid counter, which :func:`_execute` resets before every cell in both
   the serial and the parallel path;
 * the merge is keyed by *cell index*, never by completion order: the
-  legacy pool's ``map`` preserves submission order, and the persistent
-  backend writes each result into its cell's slot, so work stealing
-  and out-of-order completion cannot reorder the merged record;
+  persistent backend writes each result into its cell's slot, so work
+  stealing and out-of-order completion cannot reorder the merged
+  record;
 * wall-clock / RSS measurements are inherently nondeterministic, so cell
   functions must quarantine them under the reserved ``"_perf"`` key of
   their result dict (see :func:`repro.experiments.runner.run_cell`);
@@ -129,7 +128,7 @@ def run_cells(
 
     ``backend`` selects how parallel cells reach workers: a
     :class:`repro.perf.backend.ExecutorBackend` instance, a registry
-    name (``"serial"`` / ``"pool"`` / ``"persistent"``), or ``None``
+    name (``"serial"`` / ``"persistent"``), or ``None``
     to walk the default chain (process default installed by the CLI's
     ``--backend`` flag, then the ``REPRO_BACKEND`` env var, then the
     persistent warm-worker executor).  The merge contract is identical
@@ -150,10 +149,12 @@ def run_cells(
     ``--cell-timeout`` / ``--resume`` flags via
     :func:`repro.perf.supervisor.set_default_supervisor`) is consulted.
     With a supervisor the sweep gains retries, per-cell deadlines,
-    pool rebuilds, poison-cell quarantine and checkpoint/resume; the
-    merge contract is unchanged.  Without one, this bare path keeps
-    its historical fail-fast semantics: the first cell exception
-    propagates.
+    worker respawns, poison-cell quarantine and checkpoint/resume; the
+    merge contract is unchanged.  Supervised sweeps always run on the
+    persistent executor (supervision needs process isolation), so
+    ``backend`` applies only to the bare path.  Without a supervisor,
+    this path keeps its historical fail-fast semantics: the first cell
+    exception propagates.
 
     ``sweep_obs`` is an optional
     :class:`repro.obs.sweep.SweepObserver`; when omitted, the process
@@ -183,7 +184,7 @@ def run_cells(
         supervisor = get_default_supervisor()
     if supervisor is not None:
         merged = supervisor.run(cells, jobs=jobs, cache=cache,
-                                capture=capture, backend=backend)
+                                capture=capture)
         if sweep_obs is not None:
             sweep_obs.absorb_results(merged)
         return merged

@@ -1,19 +1,22 @@
-"""Supervised sweep execution: retries, deadlines, rebuilds, quarantine,
+"""Supervised sweep execution: retries, deadlines, respawns, quarantine,
 checkpoint/resume.
 
 :func:`repro.perf.pool.run_cells` assumes a well-behaved host: a worker
-crash raises ``BrokenProcessPool`` and loses the whole sweep, a hung
-worker stalls the merge forever, and a killed run restarts from zero.
-:class:`Supervisor` wraps the same cell model with production traffic
-semantics — the host-layer mirror of what :mod:`repro.faults` did for
-the *simulated* system in PR 1:
+crash fails the whole sweep, a hung worker stalls the merge forever,
+and a killed run restarts from zero.  :class:`Supervisor` wraps the
+same cell model with production traffic semantics — the host-layer
+mirror of what :mod:`repro.faults` did for the *simulated* system in
+PR 1.  Every supervised sweep runs on the persistent warm-worker
+executor (:mod:`repro.perf.persistent`): supervision needs process
+isolation, and persistent is the backend that provides it.
 
 * **Deadlines.**  Every in-flight cell gets a wall-clock deadline
   derived from a running (exponential moving average) estimate of cell
   cost, clamped to a configurable floor/cap — or a fixed
   ``cell_timeout_s``.  A cell that overruns gets one grace extension
   (mirroring the gang scheduler's straggler quantum extension), then is
-  treated as hung: its workers are killed and the cell is rescheduled.
+  treated as hung: its worker alone is killed and the cell is
+  rescheduled.
 * **Retries.**  A failed attempt (worker crash, in-cell exception,
   deadline kill) is retried with exponential backoff, up to
   ``max_retries`` re-executions.  Cells are pure functions of their
@@ -21,11 +24,9 @@ the *simulated* system in PR 1:
   :func:`~repro.perf.pool._execute` global-state reset, so a retry is
   re-seeded-identical: a surviving attempt produces the same bytes the
   first attempt would have.
-* **Pool rebuilds.**  ``BrokenProcessPool`` no longer sinks the sweep:
-  finished results are harvested, the pool is rebuilt, and interrupted
-  cells are resubmitted.  The crash cannot be attributed to one cell,
-  so every interrupted cell is charged one attempt (the in-flight
-  window is at most ``jobs`` cells wide).
+* **Respawns.**  A dead or killed worker is replaced by exactly one
+  fresh worker; only the cell it held is charged an attempt, and its
+  siblings keep computing.
 * **Quarantine.**  A cell that fails ``max_retries + 1`` attempts is
   *blacklisted* — borrowing the idea from the Blacklisting Memory
   Scheduler: misbehaving streams are isolated rather than allowed to
@@ -49,19 +50,19 @@ Determinism
 -----------
 The merge remains in declaration order and every cell result is a pure
 function of its kwargs, so a supervised sweep — even one that suffered
-injected crashes, hangs and rebuilds — merges to the same bytes as a
+injected crashes, hangs and respawns — merges to the same bytes as a
 plain serial ``run_cells`` (enforced by
 ``tests/perf/test_supervisor.py``).  Host fault injection for tests and
 the chaos benchmark comes from
 :class:`~repro.faults.worker.WorkerFaultPlan`.
 
 Telemetry: ``supervisor_*`` counters (``completed``, ``retries``,
-``rebuilds``, ``timeouts``, ``deadline_extensions``, ``quarantined``,
+``respawns``, ``timeouts``, ``deadline_extensions``, ``quarantined``,
 ``resumed``) flow through the :mod:`repro.obs` registry, and the same
 values are always available on :attr:`Supervisor.stats`.  PR 8 adds
 two richer channels: :attr:`Supervisor.events` is a
 :class:`repro.obs.sweep.SweepEventLog` recording every supervision
-decision (retry, grace extension, hung-kill, pool rebuild,
+decision (retry, grace extension, hung-kill, worker respawn,
 quarantine, …) correlated by cell key + attempt — mirrored to
 ``<sweep_id>.events.jsonl`` next to the journal when journaling is on
 — and a :class:`repro.obs.sweep.ProgressTicker` renders live
@@ -78,11 +79,7 @@ sweep experiment without threading a parameter through each harness.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Optional
@@ -90,13 +87,10 @@ from typing import Any, Hashable, Optional
 from repro.faults.worker import WorkerFaultPlan
 from repro.obs.sweep import ProgressTicker, SweepEventLog, capture_enabled
 from repro.perf.journal import DEFAULT_JOURNAL_DIR, SweepJournal, sweep_id
-from repro.perf.pool import Cell, _check_cells, _execute
+from repro.perf.pool import Cell, _check_cells
 
 #: reserved key marking a quarantined cell in the merged record
 FAILED_KEY = "_failed"
-
-#: sentinel exit code used by injected worker crashes (diagnostic only)
-_CRASH_EXIT_CODE = 13
 
 
 @dataclass(frozen=True)
@@ -158,30 +152,6 @@ class SupervisorConfig:
         return self.journal or self.resume
 
 
-def _supervised_execute(cell: Cell, index: int, attempt: int,
-                        plan: Optional[WorkerFaultPlan],
-                        capture: Optional[bool] = None) -> Any:
-    """Worker-side shim: apply any injected host fault, then run the cell.
-
-    Runs in the worker process.  The injected behaviours model the real
-    failures the supervisor exists to absorb: ``os._exit`` is a
-    fail-stop crash (no exception crosses the pipe, the executor
-    breaks), a long sleep is a hang (only the parent's deadline
-    watchdog can end it), a short sleep is a straggling start.
-    ``capture`` is the telemetry-capture flag forwarded to
-    :func:`~repro.perf.pool._execute`.
-    """
-    if plan is not None and plan.active:
-        kind = plan.decide(index, attempt)
-        if kind == "crash":
-            os._exit(_CRASH_EXIT_CODE)
-        elif kind == "hang":
-            time.sleep(plan.hang_s)
-        elif kind == "slow":
-            time.sleep(plan.slow_start_s)
-    return _execute(cell, capture)
-
-
 class _CellState:
     """Supervision bookkeeping for one incomplete cell."""
 
@@ -212,15 +182,12 @@ class _CellState:
 
 
 class _SweepBook:
-    """Shared bookkeeping for one supervised sweep.
+    """Settlement bookkeeping for one supervised sweep.
 
-    Both supervision loops — the legacy pool loop
-    (:meth:`Supervisor._run_supervised`) and the persistent-executor
-    loop (:meth:`Supervisor._run_persistent`) — settle cells through
-    the same two methods, so retries, backoff, quarantine, journaling
-    and the result-store contract are backend-independent by
-    construction: a backend decides *where* a cell runs, never what
-    happens when it settles.
+    The supervision loop (:meth:`Supervisor._run_persistent`) decides
+    *where* a cell runs; these two methods decide what happens when it
+    settles — retries, backoff, quarantine, journaling and the
+    result-store contract.
     """
 
     def __init__(self, sup: "Supervisor", cells, prints, results,
@@ -320,7 +287,7 @@ class _SweepBook:
 class Supervisor:
     """Run sweep cells to completion under failures (see module docs)."""
 
-    _STATS = ("completed", "retries", "rebuilds", "respawns",
+    _STATS = ("completed", "retries", "respawns",
               "timeouts", "deadline_extensions", "quarantined",
               "resumed")
 
@@ -335,7 +302,7 @@ class Supervisor:
         self._counters = {
             k: obs.counter(f"supervisor_{k}") for k in self._STATS
         }
-        #: structured supervision event log (retries, kills, rebuilds,
+        #: structured supervision event log (retries, kills, respawns,
         #: quarantines, …); mirrored to JSONL when journaling is on
         self.events = SweepEventLog()
         self._progress_stream = progress_stream
@@ -352,8 +319,7 @@ class Supervisor:
 
     # -- public API --------------------------------------------------------
     def run(self, cells, jobs: int = 1, cache=None,
-            capture: Optional[bool] = None,
-            backend=None) -> dict[Hashable, Any]:
+            capture: Optional[bool] = None) -> dict[Hashable, Any]:
         """Run ``cells`` under supervision; returns ``{key: result}``.
 
         Same contract as :func:`repro.perf.pool.run_cells` — results
@@ -361,21 +327,13 @@ class Supervisor:
         quarantined cells yield ``{"_failed": {...}}`` instead of
         raising, and (with journaling) completed cells survive a dead
         process.  Unlike plain ``run_cells``, *every* execution happens
-        in a worker process (``jobs=1`` supervises a single worker):
-        isolation is what makes crash containment and hung-worker
-        cancellation possible at all.
+        in a persistent worker process (``jobs=1`` supervises a single
+        worker): isolation is what makes crash containment and
+        hung-worker cancellation possible at all.
 
         ``capture`` is the worker telemetry-capture flag (see
         :func:`repro.perf.pool._execute`); ``None`` reads the process
         capture env flag.
-
-        ``backend`` selects the executor backend
-        (:func:`repro.perf.backend.resolve_backend` with the
-        supervisor chain: explicit > process default > env > legacy
-        ``pool``).  On the persistent backend a worker death is
-        answered by respawning one worker instead of rebuilding the
-        pool; everything else — retries, deadlines, quarantine,
-        journal/resume — is identical.
         """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -444,203 +402,29 @@ class Supervisor:
                         todo=len(todo))
         try:
             if todo:
-                from repro.perf.backend import resolve_backend
-
-                be = resolve_backend(backend, for_supervisor=True)
                 book = _SweepBook(self, cells, prints, results, todo,
                                   cache, store, journal, journaled)
-                if be.name == "persistent":
-                    self._run_persistent(book, cells, jobs, capture)
-                else:
-                    self._run_supervised(book, jobs, capture)
+                self._run_persistent(book, cells, jobs, capture)
         finally:
             if journal is not None:
                 journal.close()
             self.events.close_file()
         return dict(zip(keys, results))
 
-    # -- legacy pool loop --------------------------------------------------
-    def _run_supervised(self, book: _SweepBook, jobs: int,
-                        capture=None) -> None:
-        cfg = self.config
-        states = book.states
-        waiting = book.waiting
-        workers = min(jobs, len(states))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        inflight: dict[Future, _CellState] = {}
-        done0 = len(book.results) - len(states)
-        ticker = ProgressTicker(total=len(book.results), done=done0,
-                                enabled=cfg.progress,
-                                stream=self._progress_stream)
-        book.ticker = ticker
-        settle_success = book.settle_success
-        settle_failure = book.settle_failure
-
-        def harvest(fut: Future, st: _CellState) -> bool:
-            """Consume one completed future; True if the pool broke."""
-            try:
-                result = fut.result()
-            except BrokenProcessPool:
-                settle_failure(st, "worker crashed (BrokenProcessPool)")
-                return True
-            except Exception as exc:  # raised inside the cell function
-                settle_failure(st, f"{type(exc).__name__}: {exc}")
-                return False
-            settle_success(st, result)
-            return False
-
-        def rebuild(hung: tuple[_CellState, ...] = ()) -> None:
-            """Kill the pool, salvage finished work, requeue the rest.
-
-            ``hung`` cells were already settled by the watchdog; every
-            other unfinished in-flight cell is requeued.  When the
-            rebuild was *caused* by the watchdog (``hung`` non-empty)
-            the innocent bystanders are requeued without an attempt
-            charge — the supervisor killed them, they did nothing
-            wrong.  A spontaneous break charges everyone in flight (the
-            culprit is unattributable).
-            """
-            nonlocal pool
-            self._count("rebuilds")
-            self.events.log("pool_rebuild",
-                            cause="hung_worker" if hung else "worker_crash",
-                            inflight=len(inflight))
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except Exception:  # pragma: no cover - defensive
-                pass
-            # mark the dead pool's wakeup pipe closed so the
-            # concurrent.futures atexit hook does not try to write to
-            # its already-broken fd at interpreter shutdown
-            wakeup = getattr(pool, "_executor_manager_thread_wakeup",
-                             None)
-            if wakeup is not None:
-                try:
-                    wakeup.close()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            for fut, st in list(inflight.items()):
-                if st in hung:
-                    continue
-                if fut.done() and not fut.cancelled():
-                    harvest(fut, st)
-                else:
-                    settle_failure(
-                        st, "worker crashed (BrokenProcessPool)",
-                        charge=not hung,
-                    )
-            inflight.clear()
-            pool = ProcessPoolExecutor(max_workers=workers)
-
-        try:
-            while waiting or inflight:
-                now = time.monotonic()
-                # submit every ready cell a worker is free for
-                waiting.sort(key=lambda i: (states[i].ready_at, i))
-                while waiting and len(inflight) < workers \
-                        and states[waiting[0]].ready_at <= now:
-                    st = states[waiting.pop(0)]
-                    st.submitted_at = time.monotonic()
-                    st.budget, st.deadline = self._deadline(st)
-                    st.extended = False
-                    try:
-                        fut = pool.submit(_supervised_execute, st.cell,
-                                          st.index, st.attempts,
-                                          cfg.worker_faults, capture)
-                    except BrokenProcessPool:
-                        # the pool broke between polls and the break
-                        # surfaced at submit: this cell never started,
-                        # so requeue it uncharged and rebuild
-                        settle_failure(
-                            st, "worker crashed (BrokenProcessPool)",
-                            charge=False)
-                        rebuild()
-                        break
-                    inflight[fut] = st
-
-                if not inflight:
-                    # everything is backing off; sleep to the earliest
-                    time.sleep(max(0.0, min(
-                        states[i].ready_at for i in waiting) - now))
-                    continue
-
-                done, _ = wait(set(inflight),
-                               timeout=cfg.poll_interval_s,
-                               return_when=FIRST_COMPLETED)
-                broken = False
-                for fut in done:
-                    st = inflight.pop(fut)
-                    broken |= harvest(fut, st)
-                if broken:
-                    rebuild()
-                    continue
-
-                # deadline watchdog
-                now = time.monotonic()
-                hung: list[_CellState] = []
-                for st in inflight.values():
-                    if st.deadline is None or now <= st.deadline:
-                        continue
-                    if not st.extended and cfg.grace_factor > 0.0:
-                        # one straggler grace, then the axe
-                        st.extended = True
-                        st.deadline = now + cfg.grace_factor * st.budget
-                        self._count("deadline_extensions")
-                        self.events.log(
-                            "grace_extension", key=st.cell.key,
-                            attempt=st.attempts,
-                            extra_s=cfg.grace_factor * st.budget)
-                    else:
-                        hung.append(st)
-                if hung:
-                    for st in hung:
-                        self._count("timeouts")
-                        st.timeout_kills += 1
-                        self.events.log(
-                            "hung_kill", key=st.cell.key,
-                            attempt=st.attempts,
-                            elapsed_s=time.monotonic() - st.submitted_at,
-                            budget_s=st.budget)
-                        settle_failure(
-                            st,
-                            f"deadline exceeded "
-                            f"({time.monotonic() - st.submitted_at:.2f}s"
-                            f" > budget {st.budget:.2f}s)",
-                        )
-                    rebuild(hung=tuple(hung))
-
-                remaining = book.open_cells
-                eta = None
-                if self._estimate is not None and remaining > 0:
-                    eta = remaining * self._estimate / max(1, workers)
-                ticker.update(done=done0 + book.done,
-                              running=len(inflight),
-                              quarantined=book.quar, eta_s=eta)
-        finally:
-            ticker.close()
-            pool.shutdown(wait=False, cancel_futures=True)
-
     # -- persistent-executor loop ------------------------------------------
     def _run_persistent(self, book: _SweepBook, cells, jobs: int,
                         capture=None) -> None:
         """Drive one sweep on the persistent warm-worker executor.
 
-        Failure handling is surgical where the legacy pool loop is
-        wholesale: a worker crash loses exactly the cell that worker
-        held and is answered by respawning *one* worker (``respawns``
-        stat, ``worker_respawn`` event) — the surviving workers never
-        notice.  A hung cell gets the same grace-then-kill escalation
-        as before, but the kill hits only its own worker.  Dispatch
+        Failure handling is surgical: a worker crash loses exactly the
+        cell that worker held and is answered by respawning *one*
+        worker (``respawns`` stat, ``worker_respawn`` event) — the
+        surviving workers never notice.  A hung cell gets one grace
+        extension, then the kill hits only its own worker.  Dispatch
         order comes from the work-stealing scheduler, seeded
         largest-EMA-cost-first from the per-key estimates; retries,
-        backoff, quarantine and journaling are shared with the legacy
-        loop through the sweep book, so the merged record is
-        byte-identical across backends.
+        backoff, quarantine and journaling go through the sweep book,
+        so the merged record is byte-identical to a serial run.
         """
         from repro.perf.persistent import (StealScheduler,
                                            get_default_executor)

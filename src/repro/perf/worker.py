@@ -24,12 +24,12 @@ spec table: the parent always sends the sweep message first, and a
 worker still busy with an aborted sweep's task simply is not enrolled
 in the next sweep until it drains.
 
-Fault injection mirrors :func:`repro.perf.supervisor._supervised_execute`
-exactly — same plan, same ``(index, attempt)`` draw — so the chaos
-suite exercises persistent workers with the identical deterministic
-schedule the legacy pool sees: a ``crash`` fail-stops the process via
-``os._exit`` (surfacing in the parent as a dead sentinel rather than a
-``BrokenProcessPool``), ``hang``/``slow`` sleep before executing.
+Fault injection (:func:`_apply_fault`) draws from the sweep's
+:class:`~repro.faults.worker.WorkerFaultPlan` by ``(index, attempt)``,
+so the chaos suite sees the same deterministic schedule on every run: a
+``crash`` fail-stops the process via ``os._exit(CRASH_EXIT_CODE)``
+(surfacing in the parent as a dead sentinel), ``hang``/``slow`` sleep
+before executing.
 """
 
 from __future__ import annotations

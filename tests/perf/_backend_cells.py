@@ -41,6 +41,11 @@ def boom(msg):
     raise ValueError(msg)
 
 
+def crash(code):
+    """Fail-stop the executing worker process with exit ``code``."""
+    os._exit(code)
+
+
 def arr_total(arr, scale):
     """Consumes (without mutating) an ndarray kwarg: exercises the
     zero-copy buffer path of the spec table."""

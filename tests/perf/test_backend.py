@@ -8,19 +8,19 @@ import os
 import pytest
 
 from repro.experiments.report_io import _sanitise
-from repro.perf import Cell, run_cells
+from repro.perf import Cell, Supervisor, SupervisorConfig, run_cells
 from repro.perf.backend import (
     BACKEND_ENV,
     BACKENDS,
     ExecutorBackend,
     PersistentBackend,
-    PoolBackend,
     SerialBackend,
     get_default_backend,
     resolve_backend,
     resolve_jobs,
     set_default_backend,
 )
+from repro.perf.worker import CRASH_EXIT_CODE
 
 from tests.perf import _backend_cells as bc
 
@@ -50,10 +50,9 @@ def make_grid(n=8):
 # ---------------------------------------------------------------------------
 # registry + resolution
 # ---------------------------------------------------------------------------
-def test_registry_holds_the_three_backends():
-    assert set(BACKENDS) == {"serial", "pool", "persistent"}
+def test_registry_holds_serial_and_persistent():
+    assert set(BACKENDS) == {"serial", "persistent"}
     assert isinstance(BACKENDS["serial"], SerialBackend)
-    assert isinstance(BACKENDS["pool"], PoolBackend)
     assert isinstance(BACKENDS["persistent"], PersistentBackend)
     for name, be in BACKENDS.items():
         assert be.name == name
@@ -65,24 +64,26 @@ def test_resolve_explicit_instance_passes_through():
 
     be = Custom()
     assert resolve_backend(be) is be
-    assert resolve_backend(be, for_supervisor=True) is be
 
 
 def test_resolve_by_name_and_unknown():
     assert resolve_backend("serial") is BACKENDS["serial"]
-    assert resolve_backend("pool") is BACKENDS["pool"]
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("bogus")
+    assert resolve_backend("persistent") is BACKENDS["persistent"]
+    for gone in ("bogus", "pool"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(gone)
 
 
 def test_builtin_defaults():
-    # bare path defaults to the warm executor; the supervisor keeps
-    # its historical pool semantics unless told otherwise
+    # the bare path defaults to the warm executor
     assert resolve_backend(None).name == "persistent"
     assert resolve_backend("auto").name == "persistent"
-    assert resolve_backend(None, for_supervisor=True).name == "pool"
-    # supervision requires process isolation: serial is promoted
-    assert resolve_backend("serial", for_supervisor=True).name == "pool"
+    # supervision requires process isolation: even with serial
+    # installed as the default, supervised cells run in a worker
+    set_default_backend("serial")
+    cells = [Cell(("who", i), bc.whoami, {"x": i}) for i in range(2)]
+    merged = Supervisor(SupervisorConfig()).run(cells, jobs=1)
+    assert os.getpid() not in {r["pid"] for r in merged.values()}
 
 
 def test_process_default_beats_env(monkeypatch):
@@ -91,7 +92,7 @@ def test_process_default_beats_env(monkeypatch):
     assert get_default_backend() == "serial"
     assert resolve_backend(None).name == "serial"
     # explicit spec still wins over the installed default
-    assert resolve_backend("pool").name == "pool"
+    assert resolve_backend("persistent").name == "persistent"
     set_default_backend(None)
     assert resolve_backend(None).name == "persistent"  # env takes over
 
@@ -130,7 +131,7 @@ def test_serial_backend_ignores_jobs_and_stays_in_process():
 def test_cross_backend_identity():
     cells = make_grid(8)
     reference = canon(run_cells(cells, jobs=1))
-    for name in ("serial", "pool", "persistent"):
+    for name in ("serial", "persistent"):
         merged = run_cells(cells, jobs=3, backend=name)
         assert canon(merged) == reference, name
         assert list(merged) == [c.key for c in cells], name
@@ -145,6 +146,14 @@ def test_persistent_failure_is_fail_fast_and_deterministic():
     # the pipe
     with pytest.raises(ValueError, match="first bad cell"):
         run_cells(cells, jobs=3, backend="persistent")
+
+
+def test_persistent_worker_death_names_its_exit_code():
+    cells = make_grid(4)
+    cells[1] = Cell(("crash", 1), bc.crash, {"code": CRASH_EXIT_CODE})
+    with pytest.raises(RuntimeError,
+                       match=rf"worker died \(exit {CRASH_EXIT_CODE}\)"):
+        run_cells(cells, jobs=2, backend="persistent")
 
 
 def test_env_selected_backend_reaches_run_cells(monkeypatch):

@@ -3,7 +3,8 @@
 The executor-backend contract says completion order is invisible: the
 merged record, the journal and the cell store must come out identical
 whether cells finished in declaration order, adversarially scrambled
-order, under work stealing, or across injected worker crashes.  These
+order, under work stealing, or across injected worker crashes and
+hangs.  These
 tests engineer each of those orders and diff the artefacts byte by
 byte (outside the reserved ``_perf`` quarantine)."""
 
@@ -135,46 +136,39 @@ def test_steals_happen_and_leave_no_trace():
 
 
 # ---------------------------------------------------------------------------
-# crash chaos: identical records, journals and stores across backends
+# crash chaos: identical records, journals and stores to a serial run
 # ---------------------------------------------------------------------------
 def test_crash_chaos_identity_across_backends(tmp_path):
     cells = [Cell(("sq", i), bc.square, {"x": i}) for i in range(8)]
-    reference = canon(run_cells(cells, jobs=1))
-    plan = find_plan(8, max_retries=3, need={"crash"}, crash_rate=0.25)
-
-    merged = {}
-    sups = {}
-    for backend in ("persistent", "pool"):
-        jdir = tmp_path / backend
-        sup = Supervisor(cfg(max_retries=3, journal=True,
-                             journal_dir=jdir, worker_faults=plan))
-        merged[backend] = sup.run(cells, jobs=3, backend=backend)
-        sups[backend] = sup
-        assert canon(merged[backend]) == reference, backend
-        assert sup.stats["quarantined"] == 0, backend
-
-    # the persistent loop answers a crash surgically: one respawn per
-    # dead worker, never a world rebuild
-    assert sups["persistent"].stats["respawns"] >= 1
-    assert sups["persistent"].stats["rebuilds"] == 0
-    assert sups["pool"].stats["rebuilds"] >= 1
-    assert sups["pool"].stats["respawns"] == 0
-
-    # journals: same sweep id, same completed-fingerprint set
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
-    sid = sweep_id(prints)
-    done_sets = {}
-    for backend in ("persistent", "pool"):
-        journal = SweepJournal(sid, root=tmp_path / backend)
-        done_sets[backend] = journal.completed()
-    assert done_sets["persistent"] == done_sets["pool"] == set(prints)
+    serial_store = CellCache(root=tmp_path / "serial")
+    reference = canon(run_cells(cells, jobs=1, backend="serial",
+                                cache=serial_store))
+    plan = find_plan(8, max_retries=3, need={"crash", "hang"},
+                     crash_rate=0.2, hang_rate=0.2, hang_s=60.0)
 
-    # journal-scoped stores: identical result bytes per fingerprint
+    jdir = tmp_path / "persistent"
+    sup = Supervisor(cfg(max_retries=3, cell_timeout_s=1.0, journal=True,
+                         journal_dir=jdir, worker_faults=plan))
+    merged = sup.run(cells, jobs=3)
+    assert canon(merged) == reference
+    assert sup.stats["quarantined"] == 0
+    # every fault is answered surgically: one respawn per crashed or
+    # killed worker, never a wholesale restart of its siblings
+    assert sup.stats["timeouts"] >= 1
+    assert sup.stats["respawns"] >= 2
+    assert sup.stats["respawns"] == sup.stats["retries"]
+
+    # journal: same sweep id, every fingerprint the serial run stored
+    sid = sweep_id(prints)
+    done = SweepJournal(sid, root=jdir).completed()
+    assert done == {fp for fp in prints
+                    if serial_store.get(fp) is not None} == set(prints)
+
+    # journal-scoped store: identical result bytes per fingerprint
+    store = CellCache(root=jdir / f"{sid}.store")
     for fp in prints:
-        stored = [
-            CellCache(root=tmp_path / backend / f"{sid}.store").get(fp)
-            for backend in ("persistent", "pool")
-        ]
+        stored = [serial_store.get(fp), store.get(fp)]
         assert all(s is not None for s in stored)
         a, b = (json.dumps(_sanitise(s), sort_keys=True) for s in stored)
         assert a == b
@@ -186,11 +180,11 @@ def test_hung_worker_is_killed_alone_and_retried():
     plan = find_plan(6, max_retries=3, need={"hang"}, hang_rate=0.2)
     sup = Supervisor(cfg(max_retries=3, cell_timeout_s=0.4,
                          grace_factor=0.0, worker_faults=plan))
-    merged = sup.run(cells, jobs=2, backend="persistent")
+    merged = sup.run(cells, jobs=2)
     assert canon(merged) == reference
     assert sup.stats["timeouts"] >= 1
-    assert sup.stats["respawns"] >= 1
-    assert sup.stats["rebuilds"] == 0
+    # killed alone: one respawn per hung worker, none for its sibling
+    assert sup.stats["respawns"] == sup.stats["timeouts"]
     assert sup.stats["quarantined"] == 0
 
 
@@ -206,7 +200,7 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
     jdir = tmp_path / "journal"
     first = Supervisor(cfg(max_retries=0, journal=True,
                            journal_dir=jdir))
-    merged1 = first.run(cells, jobs=2, backend="persistent")
+    merged1 = first.run(cells, jobs=2)
     failed = merged1[("flaky",)]
     assert "_failed" in failed
     assert "flaky attempt 0" in failed["_failed"]["error"]
@@ -216,7 +210,7 @@ def test_resume_after_quarantine_on_persistent_backend(tmp_path):
     # one re-executes (and succeeds this time)
     second = Supervisor(cfg(max_retries=0, journal=True, resume=True,
                             journal_dir=jdir))
-    merged2 = second.run(cells, jobs=2, backend="persistent")
+    merged2 = second.run(cells, jobs=2)
     assert second.stats["resumed"] == 7
     assert second.stats["completed"] == 1
     assert merged2[("flaky",)] == {"ok": True}

@@ -1,5 +1,5 @@
 """Supervised sweep execution (repro.perf.supervisor): retries,
-deadlines, pool rebuilds, poison-cell quarantine, checkpoint/resume,
+deadlines, worker respawns, poison-cell quarantine, checkpoint/resume,
 and the fault-injected identity guarantee."""
 
 import json
@@ -31,6 +31,7 @@ from repro.perf import (
     sweep_id,
 )
 from repro.obs import Registry
+from repro.perf.worker import CRASH_EXIT_CODE
 
 
 @pytest.fixture(autouse=True)
@@ -88,9 +89,8 @@ def cfg(**kw):
 def find_plan(n_cells, max_retries, need, max_faulted=2, **rates):
     """Seed-search a fault plan whose attempt-0 schedule injects every
     kind in ``need`` while every cell keeps enough clean attempts that
-    no cell can be quarantined — a spontaneous pool break charges every
-    in-flight cell one attempt, so later-attempt draws matter even for
-    cells the schedule leaves alone."""
+    no cell can be quarantined — retries re-draw per attempt, so
+    later-attempt draws matter as well."""
     for seed in range(2000):
         plan = WorkerFaultPlan(seed=seed, **rates)
         sched = plan.injections(n_cells)
@@ -140,13 +140,13 @@ def test_happy_path_identical_to_serial_run_cells():
     assert list(merged) == [c.key for c in cells]
     assert sup.stats["completed"] == len(cells)
     assert sup.stats["retries"] == 0
-    assert sup.stats["rebuilds"] == 0
+    assert sup.stats["respawns"] == 0
     assert sup.stats["quarantined"] == 0
 
 
 def test_supervised_jobs_one_still_isolated():
-    # jobs=1 builds a one-worker pool: isolation is what makes crash
-    # containment possible, so even "serial" supervision uses a worker
+    # jobs=1 supervises one persistent worker: isolation is what makes
+    # crash containment possible, so even "serial" supervision uses one
     sup = Supervisor(cfg())
     merged = sup.run(make_squares(3), jobs=1)
     assert [merged[("sq", i)]["sq"] for i in range(3)] == [0, 1, 4]
@@ -167,7 +167,7 @@ def test_counters_reach_obs_registry():
     sup = Supervisor(cfg(), obs=reg)
     sup.run(make_squares(3), jobs=2)
     assert reg.value("supervisor_completed") == 3
-    assert reg.value("supervisor_rebuilds") == 0
+    assert reg.value("supervisor_respawns") == 0
 
 
 def test_run_cells_uses_default_and_explicit_supervisor():
@@ -247,9 +247,9 @@ def test_require_ok_passes_healthy_and_names_poisoned_cells():
 
 
 # ---------------------------------------------------------------------------
-# worker crashes (BrokenProcessPool) and pool rebuilds
+# worker crashes and respawns
 # ---------------------------------------------------------------------------
-def test_injected_crash_mid_sweep_rebuilds_and_matches_serial():
+def test_injected_crash_mid_sweep_respawns_and_matches_serial():
     cells = make_squares(8)
     plan = find_plan(len(cells), max_retries=5, need={"crash"},
                      crash_rate=0.3)
@@ -257,7 +257,7 @@ def test_injected_crash_mid_sweep_rebuilds_and_matches_serial():
     sup = Supervisor(cfg(max_retries=5, worker_faults=plan))
     merged = sup.run(cells, jobs=2)
     assert canon(merged) == canon(serial)
-    assert sup.stats["rebuilds"] >= 1
+    assert sup.stats["respawns"] >= 1
     assert sup.stats["retries"] >= 1
     assert sup.stats["quarantined"] == 0
     assert sup.stats["completed"] == len(cells)
@@ -268,10 +268,23 @@ def test_crash_on_every_attempt_quarantines_not_raises():
     sup = Supervisor(cfg(max_retries=1, worker_faults=plan))
     merged = sup.run([Cell("doomed", square, {"x": 1})])
     failure = merged["doomed"][FAILED_KEY]
-    assert "BrokenProcessPool" in failure["error"]
+    assert failure["error"] == f"worker crashed (exit {CRASH_EXIT_CODE})"
     assert failure["attempts"] == 2
-    assert sup.stats["rebuilds"] == 2
+    assert sup.stats["respawns"] == 2
     assert sup.stats["quarantined"] == 1
+
+
+def test_crash_forensics_name_the_worker_exit_code():
+    # a crashed worker's pipe EOF can arrive before its process is
+    # reaped; every charged attempt must still record the real exit
+    # code, never "exit None"
+    plan = WorkerFaultPlan(crash_rate=1.0, seed=0)
+    sup = Supervisor(cfg(max_retries=4, worker_faults=plan))
+    cells = [Cell(("doomed", i), square, {"x": i}) for i in range(2)]
+    merged = sup.run(cells, jobs=2)
+    for cell in cells:
+        errors = merged[cell.key][FAILED_KEY]["errors"]
+        assert errors == [f"worker crashed (exit {CRASH_EXIT_CODE})"] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +305,7 @@ def test_hung_worker_cancelled_and_rescheduled():
     assert canon(merged) == canon(serial)
     assert sup.stats["timeouts"] >= 1
     assert sup.stats["deadline_extensions"] >= 1  # one grace, then axed
-    assert sup.stats["rebuilds"] >= 1
+    assert sup.stats["respawns"] >= 1
     assert sup.stats["quarantined"] == 0
     assert sup.stats["completed"] == len(cells)
 
@@ -426,6 +439,25 @@ def test_cache_hits_are_journaled_for_later_resume(tmp_path):
 # ---------------------------------------------------------------------------
 # kill-then-resume integration: only incomplete cells re-execute
 # ---------------------------------------------------------------------------
+def session_survivors(sid):
+    """Pids of live (non-zombie) processes in session ``sid``, read
+    from ``/proc/<pid>/stat``; ``None`` where ``/proc`` is missing."""
+    proc = Path("/proc")
+    if not (proc / "self" / "stat").exists():
+        return None
+    alive = []
+    for stat in proc.glob("[0-9]*/stat"):
+        try:
+            text = stat.read_text()
+        except OSError:
+            continue  # exited while we scanned
+        # "pid (comm) state ppid pgrp session ..."; comm may hold spaces
+        fields = text.rpartition(")")[2].split()
+        if int(fields[3]) == sid and fields[0] not in ("Z", "X"):
+            alive.append(int(stat.parent.name))
+    return alive
+
+
 def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
     from tests.perf import _resume_cells as rc
 
@@ -446,6 +478,9 @@ def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
          f"n={n}, ping_dir={str(pings)!r})"],
         cwd=str(repo), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        # own session: every process the sweep starts is findable by
+        # session id after the leader is killed
+        start_new_session=True,
     )
     cells = rc.make_cells(n, delay, ping_dir=str(pings))
     prints = [fingerprint(c.fn, c.kwargs) for c in cells]
@@ -460,7 +495,22 @@ def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
     finally:
         child.send_signal(signal.SIGKILL)
         child.wait()
-    time.sleep(0.8)  # let any orphaned worker drain and exit
+    # workers must notice the dead parent (pipe EOF) and exit on their
+    # own; give them a bounded drain, then nothing may be left behind
+    survivors = session_survivors(child.pid)
+    deadline = time.monotonic() + 10.0
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.1)
+        survivors = session_survivors(child.pid)
+    try:
+        assert not survivors, \
+            f"orphaned sweep processes survived SIGKILL: {survivors}"
+    finally:
+        for pid in survivors or ():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
 
     done_before = journal.completed()
     assert 0 < len(done_before) < n
@@ -489,14 +539,10 @@ def test_sigkill_then_resume_reexecutes_only_incomplete(tmp_path):
 # ---------------------------------------------------------------------------
 def find_chaos_plan(n_cells):
     """Seed-search a plan with at least one crash *and* one hang whose
-    retry draws are all clean.  The chaos acceptance test runs it at
-    ``jobs=1`` on purpose: with a single slot exactly one cell is ever
-    in flight, so a crash-triggered pool rebuild can never catch a
-    concurrently hanging worker as collateral (which would requeue the
-    hang before the deadline watchdog fires and leave the watchdog
-    path untested) and collateral attempt-charging cannot occur — the
-    crash/timeout/rebuild verdicts below are timing-independent even
-    on a heavily loaded host."""
+    retry draws are all clean.  At ``jobs=1`` exactly one cell is ever
+    in flight, so every injected fault costs exactly one worker and the
+    crash/timeout/respawn counts asserted below are timing-independent
+    even on a heavily loaded host."""
     for seed in range(20000):
         plan = WorkerFaultPlan(crash_rate=0.15, hang_rate=0.1,
                                hang_s=60.0, seed=seed)
@@ -520,11 +566,12 @@ def test_chaos_sweep_identical_to_fault_free_serial():
     merged = sup.run(cells, jobs=1)
     assert canon(merged) == canon(serial)
     assert sup.stats["quarantined"] == 0
-    # every crash breaks the sole-worker pool and every hang is killed
-    # by the watchdog, so both chaos paths are provably exercised
+    # every crash kills the sole worker and every hang is killed by the
+    # watchdog; each is answered by one respawn, so both chaos paths
+    # are provably exercised
     sched = plan.injections(len(cells))
     n_crashes = sum(1 for k in sched.values() if k == "crash")
     n_hangs = sum(1 for k in sched.values() if k == "hang")
-    assert sup.stats["rebuilds"] >= n_crashes + n_hangs >= 2
+    assert sup.stats["respawns"] >= n_crashes + n_hangs >= 2
     assert sup.stats["timeouts"] >= n_hangs >= 1
     assert sup.stats["completed"] == len(cells)
