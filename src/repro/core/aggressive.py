@@ -43,7 +43,7 @@ class AggressivePageOut:
         while vmm.frames.free < target_free:
             if table is None or table.resident_count == 0:
                 return  # Fig. 3 stops at the outgoing process's pages
-            victims = table.resident_pages()[: self.batch_pages]
+            victims = table.index.resident_pages()[: self.batch_pages]
             freed = yield from vmm.evict_batch(
                 VictimBatch(out_pid, victims), PRIO_FOREGROUND
             )

@@ -182,7 +182,7 @@ class AdaptivePaging:
         # the process already has resident (and at the working set if
         # we have an estimate): §3.3 aims to "make the entire working
         # set of the process available", not to thrash.
-        resident = table.resident_pages()
+        resident = table.index.resident_pages()
         cap = (self.vmm.params.total_frames
                - self.vmm.params.freepages_high - resident.size)
         if ws_pages and ws_pages > 0:

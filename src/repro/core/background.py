@@ -182,7 +182,7 @@ class BackgroundWriter:
                 return True
             if queue.current:
                 return False
-        return table.dirty_resident_pages().size > 0
+        return table.index.dirty_resident_pages().size > 0
 
     def _run(self, pid: int):
         vmm = self.vmm

@@ -45,7 +45,6 @@ import numpy as np
 from repro.faults.errors import DiskFailure
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import NULL_OBS
-from repro.sim import compiled as _compiled
 from repro.sim import fastpath as _fastpath
 from repro.sim.engine import NORMAL, Environment, Event
 
@@ -54,6 +53,34 @@ PRIO_FOREGROUND = 0
 #: Queue priority for the background dirty-page writer (served only when
 #: no foreground request is waiting).
 PRIO_BACKGROUND = 10
+
+
+def _run_positioning(
+    slots: list, pos: int, same_op: bool, positioning_s: float, coef: float
+) -> tuple[int, float]:
+    """(seeks, positioning cost) of one request's sorted slot list.
+
+    ``slots`` are plain ints, ``pos`` is the head position and
+    ``same_op`` whether the head's last transfer had this request's
+    direction.  A slot streams free of positioning cost if it exactly
+    continues the previous transfer, so only the first slot of each
+    maximal consecutive run can seek; a direction change (read->write
+    or write->read) always seeks on the first run, since page-in and
+    page-out streams target different areas/queues.  Costs add in run
+    order.
+    """
+    seeks = 0
+    positioning = 0.0
+    for s in slots:
+        if s != pos or not same_op:
+            seeks += 1
+            positioning += positioning_s
+            if coef > 0.0:
+                # math.sqrt is bitwise-identical to np.sqrt
+                positioning += coef * math.sqrt(abs(s - pos))
+        pos = s + 1
+        same_op = True
+    return seeks, positioning
 
 
 @dataclass(frozen=True)
@@ -367,10 +394,7 @@ class Disk:
         the dispatcher, the batch-advance tier and directly
         unit-testable.  Runs once per disk request, so the run
         decomposition stays on plain Python ints — per-element numpy
-        indexing here showed up in profiles.  When the compiled-kernel
-        tier is on, the multi-run decomposition is delegated to the
-        (numba-jitted) :func:`repro.sim.compiled.run_positioning`
-        kernel, which accumulates in the identical order.
+        indexing here showed up in profiles.
         """
         params = self.params
         coef = params.seek_distance_coef_s
@@ -380,8 +404,8 @@ class Disk:
             # single contiguous run — the dominant case for swap-cluster
             # writes and block page-ins (slots are sorted and unique, so
             # span == size-1 implies consecutive).  Computed without the
-            # run-decomposition lists: one compare decides whether the
-            # head streams straight into this transfer.
+            # run walk: one compare decides whether the head streams
+            # straight into this transfer.
             pos = self._head
             if first == pos and self._last_op == op:
                 seeks = 0
@@ -397,43 +421,10 @@ class Disk:
                 + slots.size * params.page_transfer_s
             ), seeks
 
-        if _compiled.COMPILED_ENABLED:
-            seeks, positioning = _compiled.run_positioning(
-                slots, self._head, self._last_op == op,
-                params.positioning_s, coef,
-            )
-        else:
-            slist = slots.tolist()
-            starts = [first]
-            ends = []
-            prev = first
-            for s in slist[1:]:
-                if s != prev + 1:
-                    ends.append(prev + 1)
-                    starts.append(s)
-                prev = s
-            ends.append(prev + 1)
-
-            seeks = 0
-            positioning = 0.0
-            positioning_s = params.positioning_s
-            pos = self._head
-            last_op = self._last_op
-            for i, start in enumerate(starts):
-                # A run is free of positioning cost if it exactly
-                # continues the previous transfer (sequential
-                # streaming).  A direction change (read->write or
-                # write->read) always seeks on the first run: page-in
-                # and page-out streams target different areas/queues.
-                continues = start == pos and (i > 0 or last_op == op)
-                if not continues:
-                    seeks += 1
-                    positioning += positioning_s
-                    if coef > 0.0:
-                        # math.sqrt is bitwise-identical to np.sqrt
-                        positioning += coef * math.sqrt(abs(start - pos))
-                pos = ends[i]
-
+        seeks, positioning = _run_positioning(
+            slots.tolist(), self._head, self._last_op == op,
+            params.positioning_s, coef,
+        )
         duration = (
             params.overhead_s
             + positioning
@@ -748,8 +739,9 @@ class Disk:
         head = self._head
         last_same = self._last_op == op
         for i, slots in enumerate(slots_list):
-            sk, positioning = _compiled.run_positioning(
-                slots, head, last_same, params.positioning_s, 0.0
+            sk, positioning = _run_positioning(
+                slots.tolist(), head, last_same, params.positioning_s,
+                params.seek_distance_coef_s,
             )
             durations[i] = (
                 params.overhead_s

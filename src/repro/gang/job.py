@@ -116,10 +116,10 @@ class JobProcess:
         consecutive fully-resident chunks and burns their summed CPU
         time in **one** timeout, then applies the page-reference stamps
         the per-chunk path would have written (same per-chunk start
-        timestamps, one epoch bump).  Returns ``True`` when the chunk
-        was consumed, ``False`` when it is not fully resident (or
-        oversized) — nothing touched, the caller falls back to the
-        generator fault path.
+        timestamps, one ``record_access_runs`` call).  Returns ``True``
+        when the chunk was consumed, ``False`` when it is not fully
+        resident (or oversized) — nothing touched, the caller falls back
+        to the generator fault path.
 
         The chunk's residency is probed exactly once.  When batching is
         gated off (VMM busy, background writer active, or no room

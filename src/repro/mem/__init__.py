@@ -18,7 +18,7 @@ into (paper §2):
 """
 
 from repro.mem.frames import FramePool, OutOfFramesError
-from repro.mem.index import PageIndex, index_enabled, set_index_enabled
+from repro.mem.index import PageIndex
 from repro.mem.page_table import PageTable
 from repro.mem.params import MemoryParams
 from repro.mem.replacement import (
@@ -45,6 +45,4 @@ __all__ = [
     "VictimBatch",
     "VirtualMemoryManager",
     "WorkingSetEstimator",
-    "index_enabled",
-    "set_index_enabled",
 ]

@@ -1,173 +1,67 @@
-"""Incremental page-state index: epoch-cached views of a page table.
+"""Page-state views of a page table.
 
-Reclaim, background writing and the adaptive mechanisms repeatedly ask
-the same questions of a :class:`~repro.mem.page_table.PageTable` —
-"which pages are resident?", "which resident pages are dirty?", "what
-are the LRU eviction candidates?" — and until PR 4 every ask was a
-full-array scan (``np.flatnonzero`` over ``num_pages`` booleans plus a
-gather).  The :class:`PageIndex` memoises those views and invalidates
-them with a *mutation epoch*: every state-changing page-table method
-bumps ``PageTable.epoch``, and a view is recomputed only when the
-epoch moved since it was cached.
-
-Invalidation rules
-------------------
-The epoch covers the arrays the views read: ``present``, ``dirty``,
-``swap_slot`` and ``last_ref``.  It deliberately does **not** cover
-``referenced``/``clock_hand`` — the clock and aging policies clear
-reference bits on every sweep, and no cached view depends on them, so
-bumping there would only destroy cache hits.
-
-Bit-for-bit identity
---------------------
-Every view returns exactly what the equivalent fresh scan would return
-(``np.flatnonzero`` output is ascending, gathers are aligned), so an
-indexed run is indistinguishable from a scan-based run in simulation
-results.  :func:`set_index_enabled` (``False``) switches every view to
-scan-on-every-call — the pre-index behaviour — which is how the
-identity tests and ``benchmarks/perf_harness.py`` compare the two
-modes on the same code.
-
-Cached arrays are owned by the index: callers must treat them as
-read-only (every in-tree consumer copies before mutating, via fancy
-indexing, ``np.sort`` or ``np.concatenate``).
+Reclaim, background writing and the adaptive mechanisms all decide from
+the same few questions about a :class:`~repro.mem.page_table.PageTable`
+— "which pages are resident?", "which resident pages are dirty?",
+"what are the LRU eviction candidates?".  :class:`PageIndex` (reachable
+as :attr:`PageTable.index`) is the one place those questions are
+answered; every answer is a fresh scan of the table's arrays
+(``np.flatnonzero`` over ``num_pages`` booleans plus a gather), so a
+view is always a snapshot of the state at the time of the call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mem.page_table import PageTable
 
-#: process-wide switch: ``False`` disables all caching (scan mode)
-INDEX_ENABLED = True
-
-
-def set_index_enabled(enabled: bool) -> None:
-    """Turn epoch caching on/off process-wide (for benchmarks/tests)."""
-    global INDEX_ENABLED
-    INDEX_ENABLED = bool(enabled)
-
-
-def index_enabled() -> bool:
-    """Whether epoch caching is active."""
-    return INDEX_ENABLED
-
 
 class PageIndex:
-    """Lazily cached views of one page table, invalidated by epoch."""
+    """Stateless views of one page table, recomputed on every call."""
 
-    __slots__ = (
-        "table",
-        "_epoch",
-        "_resident",
-        "_dirty_resident",
-        "_clean_resident",
-        "_candidates",
-        "_touched",
-    )
+    __slots__ = ("table",)
 
     def __init__(self, table: "PageTable") -> None:
         self.table = table
-        self._epoch = -1
-        self._resident: Optional[np.ndarray] = None
-        self._dirty_resident: Optional[np.ndarray] = None
-        self._clean_resident: Optional[np.ndarray] = None
-        self._candidates: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._touched: Optional[np.ndarray] = None
 
-    # -- cache control -----------------------------------------------------
-    def _sync(self) -> bool:
-        """Drop stale caches; returns True when caching is permitted."""
-        if not INDEX_ENABLED:
-            return False
-        epoch = self.table.epoch
-        if epoch != self._epoch:
-            self._epoch = epoch
-            self._resident = None
-            self._dirty_resident = None
-            self._clean_resident = None
-            self._candidates = None
-            self._touched = None
-        return True
-
-    def invalidate(self) -> None:
-        """Force recomputation of every view (used by tests)."""
-        self._epoch = -1
-
-    # -- views -------------------------------------------------------------
     def resident_pages(self) -> np.ndarray:
         """Page numbers currently resident, ascending."""
-        t = self.table
-        if not self._sync():
-            return np.flatnonzero(t.present)
-        res = self._resident
-        if res is None:
-            res = self._resident = np.flatnonzero(t.present)
-        return res
+        return np.flatnonzero(self.table.present)
 
     def dirty_resident_pages(self) -> np.ndarray:
         """Resident pages whose swap copy is missing or stale."""
         t = self.table
-        if not self._sync():
-            return np.flatnonzero(t.present & (t.dirty | (t.swap_slot < 0)))
-        out = self._dirty_resident
-        if out is None:
-            out = self._dirty_resident = np.flatnonzero(
-                t.present & (t.dirty | (t.swap_slot < 0))
-            )
-        return out
+        return np.flatnonzero(t.present & (t.dirty | (t.swap_slot < 0)))
 
     def clean_resident_pages(self) -> np.ndarray:
         """Resident pages discardable without I/O (valid swap copy)."""
         t = self.table
-        if not self._sync():
-            return np.flatnonzero(t.present & ~t.dirty & (t.swap_slot >= 0))
-        out = self._clean_resident
-        if out is None:
-            out = self._clean_resident = np.flatnonzero(
-                t.present & ~t.dirty & (t.swap_slot >= 0)
-            )
-        return out
+        return np.flatnonzero(t.present & ~t.dirty & (t.swap_slot >= 0))
 
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """Eviction-candidate snapshot: ``(resident pages, last_ref)``.
 
         The second array is aligned with the first (``last_ref`` gathered
         at the resident pages) — exactly what LRU-style victim selection
-        consumes.  Both arrays are cached together so they always agree.
+        consumes.
         """
-        if not self._sync():
-            res = np.flatnonzero(self.table.present)
-            return res, self.table.last_ref[res]
-        cand = self._candidates
-        if cand is None:
-            res = self.resident_pages()
-            cand = self._candidates = (res, self.table.last_ref[res])
-        return cand
+        res = np.flatnonzero(self.table.present)
+        return res, self.table.last_ref[res]
 
     def touched_pages(self) -> np.ndarray:
         """Pages the process has ever referenced."""
-        t = self.table
-        if not self._sync():
-            return np.flatnonzero(t.last_ref > -np.inf)
-        out = self._touched
-        if out is None:
-            out = self._touched = np.flatnonzero(t.last_ref > -np.inf)
-        return out
+        return np.flatnonzero(self.table.last_ref > -np.inf)
 
     def touched_count(self) -> int:
-        """Number of pages ever referenced (cached with the view)."""
-        return int(self.touched_pages().size)
+        """Number of pages ever referenced."""
+        return int(np.count_nonzero(self.table.last_ref > -np.inf))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"PageIndex(pid={self.table.pid}, epoch={self._epoch}, "
-            f"cached={self._resident is not None})"
-        )
+        return f"PageIndex(pid={self.table.pid})"
 
 
-__all__ = ["PageIndex", "index_enabled", "set_index_enabled"]
+__all__ = ["PageIndex"]

@@ -15,21 +15,15 @@ this is exactly what the §3.4 background writer buys at switch time.
 Dirtying a page invalidates (but keeps) the slot; the next page-out
 rewrites it in place.
 
-Mutation epoch
---------------
-Every mutator that changes ``present`` / ``dirty`` / ``swap_slot`` /
-``last_ref`` bumps :attr:`PageTable.epoch`; the per-table
-:class:`~repro.mem.index.PageIndex` (reachable as :attr:`PageTable.index`)
-uses the epoch to cache the resident / dirty / clean / candidate views
-between mutations instead of rescanning the arrays.  ``referenced`` and
-``clock_hand`` writes do **not** bump the epoch — no cached view reads
-them, and the clock policies clear reference bits on every sweep.
-State must therefore be mutated through the methods below (or followed
-by an explicit epoch bump), never by writing the arrays directly.
+Page state is read through :attr:`PageTable.index`, a
+:class:`~repro.mem.index.PageIndex` whose views scan the arrays on every
+call.  State must be mutated through the methods below, never by
+writing the arrays directly: the O(1) resident count and the order
+counter are kept by those methods.
 
 Order counter
 -------------
-:attr:`PageTable.order_epoch` is a second, coarser counter for the
+:attr:`PageTable.order_epoch` is a counter for the
 §3.4 background writer's oldest-first dirty queue (key ``(last_ref,
 page)`` over the dirty-resident set ``present & (dirty | swap_slot <
 0)``).  It is bumped only by the mutators that can *add* a page to that
@@ -49,7 +43,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem import index as _index_mode
 from repro.mem.index import PageIndex
 
 
@@ -77,66 +70,24 @@ class PageTable:
         self.swap_slot = np.full(self.num_pages, -1, dtype=np.int64)
         #: per-process clock hand for sweep-style replacement
         self.clock_hand = 0
-        #: mutation epoch — bumped by every state-changing method
-        self.epoch = 0
         #: order counter — bumped only by mutators that can grow the
         #: dirty-resident set or move a ``last_ref`` key (see module doc)
         self.order_epoch = 0
         # O(1) resident-set size, maintained by make_resident/evict
         self._resident_count = 0
-        #: epoch-cached views (resident / dirty / clean / candidates)
+        #: page-state views (resident / dirty / clean / candidates)
         self.index = PageIndex(self)
 
     # -- queries -----------------------------------------------------------
     @property
     def resident_count(self) -> int:
-        """Resident set size in pages (O(1) — maintained incrementally).
-
-        In scan mode (:func:`repro.mem.index.set_index_enabled` off) the
-        count is recomputed from the array, reproducing the pre-index
-        cost profile for the identity/benchmark comparison.
-        """
-        if _index_mode.INDEX_ENABLED:
-            return self._resident_count
-        return int(np.count_nonzero(self.present))
-
-    def resident_pages(self) -> np.ndarray:
-        """Page numbers currently resident, ascending."""
-        return self.index.resident_pages()
-
-    def swapped_pages(self) -> np.ndarray:
-        """Pages that are out of memory but have a swap copy.
-
-        Not epoch-cached: the set changes with every page-in of the
-        faulting process, so a cache would never hit (the read-ahead
-        planner restricts the scan to the relevant slot range instead).
-        """
-        return np.flatnonzero(~self.present & (self.swap_slot >= 0))
-
-    def touched_pages(self) -> np.ndarray:
-        """Pages the process has ever referenced."""
-        return self.index.touched_pages()
+        """Resident set size in pages (O(1) — maintained incrementally)."""
+        return self._resident_count
 
     def absent(self, pages: np.ndarray) -> np.ndarray:
         """Subset of ``pages`` (order preserved) that are not resident."""
         pages = np.asarray(pages, dtype=np.int64)
         return pages[~self.present[pages]]
-
-    def oldest_resident(self, n: int) -> np.ndarray:
-        """Up to ``n`` resident pages with the smallest ``last_ref``."""
-        res, ages = self.index.candidates()
-        if res.size <= n:
-            return res
-        idx = np.argpartition(ages, n - 1)[:n]
-        return res[np.sort(idx)]
-
-    def dirty_resident_pages(self) -> np.ndarray:
-        """Resident pages whose swap copy is missing or stale."""
-        return self.index.dirty_resident_pages()
-
-    def clean_resident_pages(self) -> np.ndarray:
-        """Resident pages discardable without I/O (valid swap copy)."""
-        return self.index.clean_resident_pages()
 
     # -- mutations ---------------------------------------------------------
     def record_access(self, pages: np.ndarray, now: float,
@@ -161,22 +112,19 @@ class PageTable:
             if mask.shape != pages.shape:
                 raise ValueError("dirty mask shape mismatch")
             self.dirty[pages[mask]] = True
-        self.epoch += 1
         self.order_epoch += 1
 
     def record_access_runs(
         self,
         runs: list[tuple[np.ndarray, float, "bool | np.ndarray"]],
     ) -> None:
-        """Apply a batch of :meth:`record_access` updates in one epoch bump.
+        """Apply a batch of :meth:`record_access` updates in one call.
 
         ``runs`` is a list of ``(pages, now, dirty)`` tuples in access
         order; later stamps overwrite earlier ones exactly as the
         per-chunk calls would.  Callers (the steady-state fast path)
         have already verified residency via the vectorised probe, so the
-        per-call ``present`` validation is skipped.  The single epoch
-        bump at the end preserves the PageIndex contract: cached views
-        are only consulted *between* mutations, and the batch is applied
+        per-call ``present`` validation is skipped.  The batch is applied
         atomically from the simulation's point of view (no event can
         observe a half-applied run).
         """
@@ -196,7 +144,6 @@ class PageTable:
                 if mask.shape != pages.shape:
                     raise ValueError("dirty mask shape mismatch")
                 dirty_arr[pages[mask]] = True
-        self.epoch += 1
         self.order_epoch += 1
 
     def set_last_ref(self, pages: np.ndarray, now: float) -> None:
@@ -205,12 +152,11 @@ class PageTable:
         if len(pages) == 0:
             return
         self.last_ref[pages] = now
-        self.epoch += 1
         self.order_epoch += 1
 
     def set_last_ref_values(self, pages: np.ndarray,
                             values: np.ndarray) -> None:
-        """Per-page :meth:`set_last_ref` stamps in one epoch bump.
+        """Per-page :meth:`set_last_ref` stamps in one call.
 
         The batch-advance tier applies a whole run of fault groups at
         once; each group's pages get that group's waiter-resume time,
@@ -219,7 +165,6 @@ class PageTable:
         if len(pages) == 0:
             return
         self.last_ref[pages] = values
-        self.epoch += 1
         self.order_epoch += 1
 
     def make_resident(self, pages: np.ndarray) -> None:
@@ -236,7 +181,6 @@ class PageTable:
         self.dirty[pages] = False
         self.referenced[pages] = True
         self._resident_count += int(pages.size)
-        self.epoch += 1
         self.order_epoch += 1
 
     def evict(self, pages: np.ndarray) -> None:
@@ -251,14 +195,10 @@ class PageTable:
         self.referenced[pages] = False
         self.dirty[pages] = False
         self._resident_count -= int(pages.size)
-        self.epoch += 1
 
     def mark_clean(self, pages: np.ndarray) -> None:
         """Clear dirty bits after a successful swap write-back."""
-        if len(pages) == 0:
-            return
         self.dirty[pages] = False
-        self.epoch += 1
 
     def assign_slots(self, pages: np.ndarray, slots: np.ndarray) -> None:
         """Record swap copies for ``pages`` living in ``slots``."""
@@ -266,10 +206,7 @@ class PageTable:
         slots = np.asarray(slots, dtype=np.int64)
         if pages.shape != slots.shape:
             raise ValueError("pages/slots shape mismatch")
-        if pages.size == 0:
-            return
         self.swap_slot[pages] = slots
-        self.epoch += 1
 
     def release_slots(self, pages: np.ndarray) -> np.ndarray:
         """Forget swap copies for ``pages``; returns the freed slot ids."""
@@ -279,13 +216,11 @@ class PageTable:
             raise ValueError("release_slots on page without a slot")
         self.swap_slot[pages] = -1
         if pages.size:
-            self.epoch += 1
             self.order_epoch += 1
         return slots
 
     def clear_referenced(self, pages: np.ndarray | None = None) -> None:
-        """Clear reference bits (a clock sweep step; no epoch bump —
-        ``referenced`` feeds no cached view)."""
+        """Clear reference bits (a clock sweep step)."""
         if pages is None:
             self.referenced[:] = False
         else:

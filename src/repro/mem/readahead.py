@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from repro.mem.page_table import PageTable
-from repro.sim import compiled as _compiled
 
 
 @dataclass
@@ -326,21 +325,15 @@ def _plan_monotone(
         return []
     los_sb = los[idx_sb]
     his_sb = his[idx_sb]
-    if _compiled.COMPILED_ENABLED:
-        chosen = _compiled.monotone_window_starts(
-            np.ascontiguousarray(los_sb, dtype=np.int64),
-            np.ascontiguousarray(his_sb, dtype=np.int64),
-        )
-    else:
-        chosen = np.zeros(idx_sb.size, dtype=bool)
-        n = idx_sb.size
-        i = 0
-        while i < n:
-            chosen[i] = True
-            # the next opener is the first later page whose window does
-            # not overlap this one (own-slot membership guarantees
-            # lo < hi, so the jump always advances)
-            i = int(np.searchsorted(los_sb, his_sb[i], side="left"))
+    chosen = np.zeros(idx_sb.size, dtype=bool)
+    n = idx_sb.size
+    i = 0
+    while i < n:
+        chosen[i] = True
+        # the next opener is the first later page whose window does
+        # not overlap this one (own-slot membership guarantees lo < hi,
+        # so the jump always advances)
+        i = int(np.searchsorted(los_sb, his_sb[i], side="left"))
     los_c = los_sb[chosen]
     his_c = his_sb[chosen]
     nchosen = los_c.size

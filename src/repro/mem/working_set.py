@@ -43,16 +43,10 @@ class WorkingSetEstimator:
         start = self._quantum_start.pop(pid, None)
         if start is None:
             # Process was never marked scheduled; fall back to everything
-            # it has ever touched (epoch-cached view).
+            # it has ever touched.
             referenced = table.index.touched_count()
         else:
-            # Gather over the touched view instead of scanning the full
-            # last_ref array: untouched pages sit at -inf < start, so the
-            # counts agree exactly.
-            touched = table.index.touched_pages()
-            referenced = int(
-                np.count_nonzero(table.last_ref[touched] >= start)
-            )
+            referenced = int(np.count_nonzero(table.last_ref >= start))
         prev = self._estimate.get(pid)
         if prev is None or prev <= 0:
             self._estimate[pid] = float(referenced)

@@ -19,15 +19,8 @@ Public surface
 :func:`set_fast_path_enabled` — toggle the steady-state fast path
 (:mod:`repro.sim.fastpath`).
 :func:`set_batch_advance_enabled` — toggle the batch-advance tier.
-:func:`set_compiled_enabled` — toggle the numba-compiled kernels
-(:mod:`repro.sim.compiled`; interpreted where numba is absent).
 """
 
-from repro.sim.compiled import (
-    compiled_enabled,
-    have_numba,
-    set_compiled_enabled,
-)
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -60,10 +53,7 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "batch_advance_enabled",
-    "compiled_enabled",
     "fast_path_enabled",
-    "have_numba",
     "set_batch_advance_enabled",
-    "set_compiled_enabled",
     "set_fast_path_enabled",
 ]

@@ -31,8 +31,8 @@ the per-chunk/per-process event structure exactly, reproducing the
 historical event stream (the documented re-baseline for pinned event
 counts is keyed on this switch — see docs/architecture.md).
 
-Like :func:`repro.mem.index.set_index_enabled`, the switches are read
-at run time so identity tests can compare the modes; toggle them
+The switches are read at run time so identity tests can compare the
+modes; toggle them
 *between* simulation runs, never while an environment is mid-run (a
 half-switched run would mix event structures).
 
@@ -40,9 +40,6 @@ Environment overrides (read once at import, for CI matrix legs):
 
 ``REPRO_FASTPATH=0``       start with the whole fast path disabled
 ``REPRO_BATCH_ADVANCE=0``  start with only the batch-advance tier off
-
-(A third tier — numba-compiled kernels — lives in
-:mod:`repro.sim.compiled` and is forced with ``REPRO_NUMBA=1``.)
 """
 
 from __future__ import annotations

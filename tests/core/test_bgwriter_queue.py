@@ -10,18 +10,19 @@ checks each burst as it is submitted.
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BackgroundWriter
+from repro.core.background import _DirtyQueue
 from repro.disk import Disk, DiskParams
 from repro.experiments.runner import GangConfig, run_experiment
 from repro.faults import FaultPlan, FaultRates
 from repro.mem import MemoryParams, VirtualMemoryManager
-from repro.mem.index import index_enabled, set_index_enabled
-from repro.mem.page_table import PageTable
+from repro.mem.index import PageIndex
 from repro.obs import Registry
 from repro.sim import Environment
 
@@ -149,13 +150,14 @@ def record_bursts(vmm, mut):
     return seen
 
 
-@pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "scan"])
+@pytest.mark.parametrize("rescan", [False, True], ids=["indexed", "scan"])
 @settings(max_examples=40, deadline=None)
 @given(script=steps)
-def test_every_burst_equals_a_fresh_stable_argsort(indexed, script):
-    prev = index_enabled()
-    set_index_enabled(indexed)
-    try:
+def test_every_burst_equals_a_fresh_stable_argsort(rescan, script):
+    """``scan`` marks the queue stale at every read: each burst re-sorts
+    the dirty set, and a stop with no live queued page scans the table."""
+    stale = property(lambda self: False) if rescan else _DirtyQueue.current
+    with mock.patch.object(_DirtyQueue, "current", stale):
         env, vmm = make_node()
         table = vmm.tables[1]
         mut = Mutator(vmm, 1)
@@ -189,8 +191,6 @@ def test_every_burst_equals_a_fresh_stable_argsort(indexed, script):
             assert got == want
         assert not bw.active and bw._queue is None
         vmm.check_invariants()
-    finally:
-        set_index_enabled(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_deadline_misses_match_a_full_scan_on_fig6(monkeypatch):
     page table at every stop would count, mostly without that scan."""
     scans, fallbacks = [], []
     stop = BackgroundWriter.stop
-    scan = PageTable.dirty_resident_pages
+    scan = PageIndex.dirty_resident_pages
 
     def checked_stop(self):
         if self.active:
@@ -281,11 +281,11 @@ def test_deadline_misses_match_a_full_scan_on_fig6(monkeypatch):
         stop(self)
 
     def counted_scan(self):
-        fallbacks.append(self.pid)
+        fallbacks.append(self.table.pid)
         return scan(self)
 
     monkeypatch.setattr(BackgroundWriter, "stop", checked_stop)
-    monkeypatch.setattr(PageTable, "dirty_resident_pages", counted_scan)
+    monkeypatch.setattr(PageIndex, "dirty_resident_pages", counted_scan)
     reg = Registry()
     run_experiment(GangConfig("LU", "C", nprocs=4, policy="so/ao/bg",
                               seed=1, scale=0.1), obs=reg)

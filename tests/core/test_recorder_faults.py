@@ -91,4 +91,4 @@ def test_adaptive_page_in_falls_back_on_corruption():
     env.run()
     # the corrupt record was dropped, page-in degraded to demand paging
     assert ap.ai_fallbacks == 1
-    assert node.vmm.tables[1].resident_pages().size == 0
+    assert node.vmm.tables[1].index.resident_pages().size == 0

@@ -211,3 +211,33 @@ def test_queue_length_tracks():
     env.run()
     assert disk.queue_length == 0
     assert not disk.busy
+
+
+@pytest.mark.parametrize("prior, op, slots_list", [
+    # contiguous sets; the head already sits at the first slot
+    ((np.arange(0, 10), "read"), "read",
+     [np.arange(10, 18), np.arange(18, 26), np.arange(40, 48)]),
+    # gapped sets after a write: the first run changes direction
+    ((np.arange(0, 5), "write"), "read",
+     [np.array([5, 6, 9, 10, 11, 30]), np.array([31, 33]),
+      np.array([100])]),
+    # gapped sets streaming on from the head in the same direction
+    ((np.arange(0, 5), "write"), "write",
+     [np.array([5, 6, 9]), np.array([10, 12, 13]), np.array([14])]),
+    # fresh disk, no prior transfer
+    (None, "write", [np.array([0, 2, 4]), np.arange(5, 9)]),
+], ids=["contiguous-at-head", "gapped-direction-change", "gapped-streaming",
+        "fresh-disk"])
+def test_eager_times_list_equals_successive_service_times(
+    prior, op, slots_list
+):
+    env, disk = make_disk()
+    if prior is not None:
+        run_one(disk, env, *prior)
+    durations, seeks = disk.eager_times_list(slots_list, op)
+    for i, slots in enumerate(slots_list):
+        want_duration, want_seeks = disk.service_time_for(slots, op)
+        assert durations[i] == want_duration  # bit-equal, not approx
+        assert seeks[i] == want_seeks
+        req = run_one(disk, env, slots, op)  # advances the head
+        assert req.service_time == want_duration

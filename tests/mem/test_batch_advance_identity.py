@@ -1,11 +1,10 @@
 """The zero-perturbation guarantee for the batch-advance event core.
 
-Three execution tiers exist (DESIGN.md "Execution cores"): the scalar
-oracle (every event dispatched through the heap), the numpy
-batch-advance tier (runs of same-type non-interacting events advanced
-as array ops), and the compiled tier (numba-jitted residual kernels —
-which run *interpreted* on hosts without numba, so the tier's logic is
-identity-tested everywhere).  Every simulation output must be
+Three modes are compared: the two execution tiers of DESIGN.md
+"Execution cores" — the scalar oracle (every event dispatched through
+the heap) and the numpy batch-advance tier (runs of same-type
+non-interacting events advanced as array ops) — plus ``dispatch``, the
+fast path with batch-advance off.  Every simulation output must be
 bit-for-bit identical across all three, for every paper policy, at two
 workload scales.
 
@@ -27,11 +26,7 @@ from repro.core.policies import PAPER_POLICIES
 from repro.experiments.runner import GangConfig, run_experiment
 from repro.faults import FaultRates
 from repro.gang.job import Job
-from repro.sim import (
-    set_batch_advance_enabled,
-    set_compiled_enabled,
-    set_fast_path_enabled,
-)
+from repro.sim import set_batch_advance_enabled, set_fast_path_enabled
 
 SCALES = (0.05, 0.1)
 
@@ -49,7 +44,6 @@ def _restore_tiers():
     yield
     set_fast_path_enabled(True)
     set_batch_advance_enabled(True)
-    set_compiled_enabled(False)
 
 
 def _signature(result):
@@ -76,18 +70,16 @@ def _run(cfg, tier):
     ``oracle`` is the full scalar loop (no PR 5 fast path either);
     ``dispatch`` keeps the fast path but dispatches every remaining
     event through the heap; ``batch`` adds the numpy batch-advance
-    tier; ``compiled`` additionally consults the compiled kernels.
+    tier.
     """
     set_fast_path_enabled(tier != "oracle")
-    set_batch_advance_enabled(tier in ("batch", "compiled"))
-    set_compiled_enabled(tier == "compiled")
+    set_batch_advance_enabled(tier == "batch")
     Job._next_jid = 1
     try:
         return run_experiment(cfg)
     finally:
         set_fast_path_enabled(True)
         set_batch_advance_enabled(True)
-        set_compiled_enabled(False)
 
 
 @pytest.mark.parametrize("scale", SCALES)
@@ -97,29 +89,23 @@ def test_tiers_identical(policy, scale):
     oracle = _run(cfg, "oracle")
     dispatch = _run(cfg, "dispatch")
     batch = _run(cfg, "batch")
-    compiled = _run(cfg, "compiled")
 
     sig = _signature(oracle)
     assert _signature(dispatch) == sig
     assert _signature(batch) == sig
-    assert _signature(compiled) == sig
 
     # absorbing a dispatch is bookkeeping-neutral: the logical event
     # count matches the scalar dispatcher exactly...
     assert batch.events_simulated == dispatch.events_simulated
-    assert compiled.events_simulated == dispatch.events_simulated
     # ...while the loop itself spins measurably fewer times — where
     # the closed-system entry proof can hold at all
     if policy in ABSORBING_POLICIES:
         assert batch.events_dispatched < dispatch.events_dispatched
-        assert compiled.events_dispatched < dispatch.events_dispatched
     else:
         assert batch.events_dispatched == dispatch.events_dispatched
-        assert compiled.events_dispatched == dispatch.events_dispatched
 
 
-@pytest.mark.parametrize("tier", ("batch", "compiled"))
-def test_faults_split_batches_at_injection_points(tier):
+def test_faults_split_batches_at_injection_points():
     """A fault plan turns every disk request into a potential injection
     point, so the closed-system entry proof must fail and the run must
     degrade to scalar dispatch — same outputs, same fault responses,
@@ -132,7 +118,7 @@ def test_faults_split_batches_at_injection_points(tier):
         ),
     )
     dispatch = _run(cfg, "dispatch")
-    batched = _run(cfg, tier)
+    batched = _run(cfg, "batch")
     assert _signature(batched) == _signature(dispatch)
     assert batched.fault_summary == dispatch.fault_summary
     assert batched.events_simulated == dispatch.events_simulated

@@ -1,173 +1,49 @@
-"""PageIndex: epoch invalidation, caching and view correctness.
+"""PageIndex: the page-state views of a page table.
 
-Two layers of coverage:
-
-* a unit suite for the epoch contract — which mutators bump, which
-  deliberately do not, cache-hit identity of returned arrays, and the
-  scan-mode switch;
-* a randomized property test interleaving every mutator and asserting,
-  after each step, that every cached view equals the answer recomputed
-  from the raw arrays with ``np.flatnonzero``.
+Every view is a fresh scan of the table's arrays.  Besides a small unit
+suite, a randomized property test interleaves every mutator and asserts,
+after each step, that every view equals its predicate recomputed from
+the raw arrays with ``np.flatnonzero``.
 """
 
 import numpy as np
 import pytest
 
-from repro.mem import index as index_mode
-from repro.mem.index import PageIndex, index_enabled, set_index_enabled
 from repro.mem.page_table import PageTable
 
 
-@pytest.fixture(autouse=True)
-def _restore_index_mode():
-    yield
-    set_index_enabled(True)
-
-
-def fresh_views(t: PageTable) -> dict:
-    """Reference answers recomputed from the raw arrays."""
-    return {
-        "resident": np.flatnonzero(t.present),
-        "dirty_resident": np.flatnonzero(
-            t.present & (t.dirty | (t.swap_slot < 0))
-        ),
-        "clean_resident": np.flatnonzero(
-            t.present & ~t.dirty & (t.swap_slot >= 0)
-        ),
-        "touched": np.flatnonzero(t.last_ref > -np.inf),
-    }
-
-
 def assert_views_match(t: PageTable) -> None:
-    ref = fresh_views(t)
-    np.testing.assert_array_equal(t.index.resident_pages(), ref["resident"])
+    """Every ``table.index`` view equals its predicate over the arrays."""
+    resident = np.flatnonzero(t.present)
+    touched = np.flatnonzero(t.last_ref > -np.inf)
+    np.testing.assert_array_equal(t.index.resident_pages(), resident)
     np.testing.assert_array_equal(
-        t.index.dirty_resident_pages(), ref["dirty_resident"]
+        t.index.dirty_resident_pages(),
+        np.flatnonzero(t.present & (t.dirty | (t.swap_slot < 0))),
     )
     np.testing.assert_array_equal(
-        t.index.clean_resident_pages(), ref["clean_resident"]
+        t.index.clean_resident_pages(),
+        np.flatnonzero(t.present & ~t.dirty & (t.swap_slot >= 0)),
     )
-    np.testing.assert_array_equal(t.index.touched_pages(), ref["touched"])
-    assert t.index.touched_count() == ref["touched"].size
+    np.testing.assert_array_equal(t.index.touched_pages(), touched)
+    assert t.index.touched_count() == touched.size
     res, ages = t.index.candidates()
-    np.testing.assert_array_equal(res, ref["resident"])
-    np.testing.assert_array_equal(ages, t.last_ref[ref["resident"]])
-    assert t.resident_count == ref["resident"].size
-
-
-# ---------------------------------------------------------------------------
-# epoch contract
-# ---------------------------------------------------------------------------
-def test_mutators_bump_epoch():
-    t = PageTable(pid=1, num_pages=32)
-    pages = np.arange(4)
-    for mutate in (
-        lambda: t.make_resident(pages),
-        lambda: t.record_access(pages, 1.0, dirty=True),
-        lambda: t.set_last_ref(pages, 2.0),
-        lambda: t.assign_slots(pages, np.arange(4) + 100),
-        lambda: t.mark_clean(pages),
-        lambda: t.release_slots(pages[:2]),
-        lambda: t.assign_slots(pages, np.arange(4) + 100),
-        lambda: t.evict(pages),
-    ):
-        before = t.epoch
-        mutate()
-        assert t.epoch > before, mutate
-
-
-def test_empty_mutations_do_not_bump():
-    t = PageTable(pid=1, num_pages=16)
-    empty = np.empty(0, dtype=np.int64)
-    before = t.epoch
-    t.make_resident(empty)
-    t.record_access(empty, 1.0)
-    t.set_last_ref(empty, 1.0)
-    t.evict(empty)
-    t.mark_clean(empty)
-    t.assign_slots(empty, empty)
-    t.release_slots(empty)
-    assert t.epoch == before
-
-
-def test_clear_referenced_does_not_bump():
-    """Reference bits feed no cached view; clock sweeps must stay free."""
-    t = PageTable(pid=1, num_pages=16)
-    t.make_resident(np.arange(8))
-    before = t.epoch
-    t.clear_referenced()
-    t.clear_referenced(np.arange(4))
-    t.referenced[:2] = True  # direct writes are part of the contract too
-    assert t.epoch == before
-
-
-def test_cache_hit_returns_same_array():
-    """Between mutations the views are cached objects, not rescans."""
-    t = PageTable(pid=1, num_pages=64)
-    t.make_resident(np.arange(10))
-    a = t.index.resident_pages()
-    b = t.index.resident_pages()
-    assert a is b
-    res1, ages1 = t.index.candidates()
-    res2, ages2 = t.index.candidates()
-    assert res1 is res2 and ages1 is ages2
-    t.set_last_ref(np.arange(5), 7.0)  # bump
-    assert t.index.resident_pages() is not a
+    np.testing.assert_array_equal(res, resident)
+    np.testing.assert_array_equal(ages, t.last_ref[resident])
+    assert t.resident_count == resident.size
 
 
 def test_stale_cache_recomputed_after_mutation():
+    """A view read after a mutation reflects it."""
     t = PageTable(pid=1, num_pages=64)
     t.make_resident(np.arange(10))
     np.testing.assert_array_equal(t.index.resident_pages(), np.arange(10))
+    t.assign_slots(np.arange(5), np.arange(5) + 100)
     t.evict(np.arange(5))
     np.testing.assert_array_equal(
         t.index.resident_pages(), np.arange(5, 10)
     )
     assert_views_match(t)
-
-
-def test_invalidate_forces_recompute():
-    t = PageTable(pid=1, num_pages=16)
-    t.make_resident(np.arange(4))
-    a = t.index.resident_pages()
-    t.index.invalidate()
-    b = t.index.resident_pages()
-    assert a is not b
-    np.testing.assert_array_equal(a, b)
-
-
-def test_scan_mode_disables_caching():
-    t = PageTable(pid=1, num_pages=32)
-    t.make_resident(np.arange(6))
-    set_index_enabled(False)
-    assert not index_enabled()
-    a = t.index.resident_pages()
-    b = t.index.resident_pages()
-    assert a is not b  # recomputed every call
-    np.testing.assert_array_equal(a, b)
-    assert t.resident_count == 6  # count_nonzero fallback
-    assert_views_match(t)
-    set_index_enabled(True)
-    assert index_enabled()
-
-
-def test_scan_and_indexed_views_agree():
-    t = PageTable(pid=1, num_pages=64)
-    t.make_resident(np.arange(20))
-    t.assign_slots(np.arange(10), np.arange(10) + 500)
-    t.record_access(np.arange(5), 3.0, dirty=True)
-    indexed = {
-        "resident": t.index.resident_pages().copy(),
-        "dirty": t.index.dirty_resident_pages().copy(),
-        "clean": t.index.clean_resident_pages().copy(),
-    }
-    set_index_enabled(False)
-    np.testing.assert_array_equal(t.index.resident_pages(),
-                                  indexed["resident"])
-    np.testing.assert_array_equal(t.index.dirty_resident_pages(),
-                                  indexed["dirty"])
-    np.testing.assert_array_equal(t.index.clean_resident_pages(),
-                                  indexed["clean"])
 
 
 def test_resident_count_tracks_invariants():
@@ -189,14 +65,14 @@ def test_index_repr_smoke():
 # randomized interleave property test
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("scan_mode", [False, True])
-def test_random_mutator_interleave(seed, scan_mode):
-    """Every view matches a fresh flatnonzero recompute after every
-    mutation, under a random interleaving of all mutators."""
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_random_mutator_interleave(seed, shuffled):
+    """Every view matches its predicate after every mutation, under a
+    random interleaving of all mutators.  With ``shuffled`` the mutators
+    get their pages in random order rather than ascending; the views are
+    ascending either way."""
     rng = np.random.default_rng(seed)
-    num_pages = 256
-    t = PageTable(pid=1, num_pages=num_pages)
-    set_index_enabled(not scan_mode)
+    t = PageTable(pid=1, num_pages=256)
     next_slot = 0
     now = 0.0
 
@@ -205,45 +81,36 @@ def test_random_mutator_interleave(seed, scan_mode):
         if idx.size == 0:
             return np.empty(0, dtype=np.int64)
         k = int(rng.integers(1, idx.size + 1))
-        return np.sort(rng.choice(idx, size=k, replace=False))
+        pages = rng.choice(idx, size=k, replace=False)
+        return pages if shuffled else np.sort(pages)
 
-    for step in range(300):
+    def give_slots(pages):
+        nonlocal next_slot
+        need = pages[t.swap_slot[pages] < 0]
+        if need.size:
+            t.assign_slots(need, np.arange(next_slot, next_slot + need.size))
+            next_slot += need.size
+
+    for _ in range(300):
         now += 1.0
         op = rng.integers(0, 6)
         if op == 0:  # make_resident absent pages
-            pages = sample(~t.present)
-            t.make_resident(pages)
-        elif op == 1:  # evict residents (assign slots to dirty ones first)
+            t.make_resident(sample(~t.present))
+        elif op == 1:  # evict residents (slots for dirty ones first)
             pages = sample(t.present)
-            need = pages[t.swap_slot[pages] < 0]
-            if need.size:
-                t.assign_slots(
-                    need, np.arange(next_slot, next_slot + need.size)
-                )
-                next_slot += need.size
+            give_slots(pages)
             t.evict(pages)
         elif op == 2:  # record_access on residents
             pages = sample(t.present)
             if pages.size:
-                dirty = rng.random(pages.size) < 0.5
-                t.record_access(pages, now, dirty)
+                t.record_access(pages, now, rng.random(pages.size) < 0.5)
         elif op == 3:  # fault-time reference stamp
-            pages = sample(t.present)
-            t.set_last_ref(pages, now)
+            t.set_last_ref(sample(t.present), now)
         elif op == 4:  # background write-back completes
             pages = sample(t.present & t.dirty)
-            if pages.size:
-                need = pages[t.swap_slot[pages] < 0]
-                if need.size:
-                    t.assign_slots(
-                        need, np.arange(next_slot, next_slot + need.size)
-                    )
-                    next_slot += need.size
-                t.mark_clean(pages)
-        else:  # clock sweep (no epoch bump) mixed into the interleave
+            give_slots(pages)
+            t.mark_clean(pages)
+        else:  # clock sweep
             t.clear_referenced()
-        # read views in random order so caches fill in varied states
-        if rng.random() < 0.5:
-            t.index.candidates()
         assert_views_match(t)
         t.check_invariants()

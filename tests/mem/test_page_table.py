@@ -12,12 +12,17 @@ def make(n=64, pid=1):
     return PageTable(pid, n)
 
 
+def swapped(t):
+    """Pages out of memory with a swap copy."""
+    return np.flatnonzero(~t.present & (t.swap_slot >= 0))
+
+
 def test_initial_state():
     t = make(10)
     assert t.resident_count == 0
-    assert t.resident_pages().size == 0
-    assert t.swapped_pages().size == 0
-    assert t.touched_pages().size == 0
+    assert t.index.resident_pages().size == 0
+    assert not np.any(~t.present & (t.swap_slot >= 0))
+    assert t.index.touched_pages().size == 0
     t.check_invariants()
 
 
@@ -79,7 +84,7 @@ def test_evict_clears_bits():
     assert t.resident_count == 0
     assert not t.dirty[:4].any()
     assert not t.referenced[:4].any()
-    assert np.array_equal(t.swapped_pages(), np.arange(4))
+    assert np.array_equal(swapped(t), np.arange(4))
     t.check_invariants()
 
 
@@ -87,21 +92,6 @@ def test_evict_nonresident_rejected():
     t = make()
     with pytest.raises(ValueError):
         t.evict(np.array([0]))
-
-
-def test_oldest_resident_orders_by_age():
-    t = make()
-    t.make_resident(np.arange(6))
-    for i, age in enumerate([5.0, 1.0, 3.0, 2.0, 6.0, 4.0]):
-        t.record_access(np.array([i]), now=age)
-    oldest = t.oldest_resident(3)
-    assert set(oldest) == {1, 3, 2}  # ages 1, 2, 3
-
-
-def test_oldest_resident_all_when_fewer():
-    t = make()
-    t.make_resident(np.array([7, 9]))
-    assert set(t.oldest_resident(10)) == {7, 9}
 
 
 def test_slot_assignment_and_release():
@@ -125,8 +115,8 @@ def test_dirty_and_clean_resident_sets():
     t.assign_slots(np.array([1]), np.array([10]))
     t.record_access(np.array([1]), now=2.0, dirty=True)
     # pages 2,3: no slot -> need write regardless of dirty
-    assert set(t.clean_resident_pages()) == {0}
-    assert set(t.dirty_resident_pages()) == {1, 2, 3}
+    assert set(t.index.clean_resident_pages()) == {0}
+    assert set(t.index.dirty_resident_pages()) == {1, 2, 3}
 
 
 def test_clear_referenced_partial_and_full():
@@ -159,10 +149,11 @@ def test_property_resident_evict_roundtrip(pages, dirty_flag):
     t.check_invariants()
     assert t.resident_count == arr.size
     # every page that needs a write gets a slot before eviction
-    need = t.dirty_resident_pages()
+    need = t.index.dirty_resident_pages()
     t.assign_slots(need, np.arange(need.size) + 1000)
     t.evict(arr)
     t.check_invariants()
     assert t.resident_count == 0
     # all touched pages must now be on swap
-    assert set(t.swapped_pages()) == set(pages)
+    assert set(swapped(t)) == set(pages)
+

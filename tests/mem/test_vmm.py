@@ -162,7 +162,7 @@ def test_victim_selector_hook_overrides_policy():
     def selector(tables, count, cluster, protect=None):
         calls.append(count)
         t = tables[1]
-        res = t.resident_pages()[:count]
+        res = t.index.resident_pages()[:count]
         if res.size == 0:
             return []
         return [VictimBatch(1, res)]
