@@ -6,6 +6,16 @@ incoming process's (estimated) working set.  The subsequent page-in
 faults then proceed without interleaved page-out activity, and the
 address-ordered block writes land in contiguous swap slots — which is
 what later makes the adaptive page-in's block reads sequential.
+
+Each batch is the outgoing process's ``batch_pages`` lowest resident
+pages — ``index.resident_pages()[:batch_pages]``.  Rather than rescan
+the table for every batch, a page-out walks one ascending snapshot of
+the resident set with a head cursor (:class:`~repro.mem.index.PageCursor`)
+and takes a new snapshot whenever the table's order counter moved.  Only
+:meth:`~repro.mem.page_table.PageTable.make_resident` sets ``present``,
+and it bumps that counter, so pages evicted meanwhile (by this page-out
+or by anyone else) are skipped and pages a fault pins stay at the head,
+exactly as in a fresh scan.
 """
 
 from __future__ import annotations
@@ -13,9 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.disk.device import PRIO_FOREGROUND
+from repro.mem.index import PageCursor
 from repro.mem.replacement import VictimBatch
 from repro.mem.vmm import VirtualMemoryManager
 from repro.obs.registry import NULL_OBS
+
+
+class _ResidentCursor(PageCursor):
+    """One table's resident pages, ascending (see module doc)."""
+
+    def _snapshot(self) -> np.ndarray:
+        return self.table.index.resident_pages()
+
+    def _live(self, pages: np.ndarray) -> np.ndarray:
+        return self.table.present[pages]
 
 
 class AggressivePageOut:
@@ -40,13 +61,18 @@ class AggressivePageOut:
         """
         vmm = self.vmm
         table = vmm.tables.get(out_pid)
+        cursor = None
         while vmm.frames.free < target_free:
             if table is None or table.resident_count == 0:
                 return  # Fig. 3 stops at the outgoing process's pages
-            victims = table.index.resident_pages()[: self.batch_pages]
+            if cursor is None:
+                cursor = _ResidentCursor(table)
+            victims = cursor.take(self.batch_pages)
             freed = yield from vmm.evict_batch(
                 VictimBatch(out_pid, victims), PRIO_FOREGROUND
             )
+            if freed == victims.size:
+                cursor.skip_taken()
             self._c_batches.inc()
             self._c_pages.inc(freed)
 

@@ -19,12 +19,22 @@ which only the mutators that can add a dirty-resident page or move a
 ``last_ref`` key bump.  Everything else — the writer's own
 ``mark_clean`` / ``assign_slots``, and evictions — is shrink-only: it
 removes pages from the set and so cannot reorder the rest.  A burst
-therefore walks the queue from a head cursor, skips entries that have
-left the set, and takes the first ``batch_pages`` that have not.  Pages
-an in-flight fault pins stay dirty, and stay at their place in the
-queue, for the next burst.  The same walk answers the stop-time
+therefore walks the queue from a head cursor (a
+:class:`~repro.mem.index.PageCursor`), skips entries that have left the
+set, and takes the first ``batch_pages`` that have not.  A burst that
+was written in full has left the set too, so the head moves past it
+at once instead of re-reading those pages at the next burst.  Pages an
+in-flight fault pins stay dirty, and stay at their place in the queue,
+for the next burst; a burst that could write nothing waits ``poll_s``
+before it looks again.  The same walk answers the stop-time
 ``bg_deadline_misses`` question; only a stale queue with no live entry
 falls back to a scan of the table.
+
+A burst is written with ``evict_batch(..., keep_resident=True)``, which
+returns the number of pages written.  Its pages are taken in the same
+instant the eviction lock is requested, so they are dirty resident when
+the lock is granted unless another eviction held it meanwhile; only
+then does ``evict_batch`` check them again.
 
 The queue and its table reference live only while the writer runs:
 :meth:`BackgroundWriter.stop`, the job's exit and a failed write all
@@ -39,63 +49,30 @@ import numpy as np
 
 from repro.disk.device import PRIO_BACKGROUND
 from repro.faults.errors import DiskFailure
-from repro.mem.page_table import PageTable
+from repro.mem.index import PageCursor
 from repro.mem.replacement import VictimBatch
 from repro.mem.vmm import VirtualMemoryManager
 from repro.obs.registry import NULL_OBS
 from repro.sim.engine import Interrupt, Process
 
 
-class _DirtyQueue:
+class _DirtyQueue(PageCursor):
     """One table's dirty-resident pages, oldest first (see module doc)."""
 
-    def __init__(self, table: PageTable) -> None:
-        self.table = table
-        self._sort()
-
-    def _sort(self) -> None:
+    def _snapshot(self) -> np.ndarray:
         t = self.table
-        self.order = t.order_epoch
         dirty = np.flatnonzero(t.present & (t.dirty | (t.swap_slot < 0)))
-        self.pages = dirty[np.argsort(t.last_ref[dirty], kind="stable")]
-        self.head = 0
+        return dirty[np.argsort(t.last_ref[dirty], kind="stable")]
 
-    @property
-    def current(self) -> bool:
-        """True while no order-changing mutation happened since the sort."""
-        return self.order == self.table.order_epoch
+    def _live(self, pages: np.ndarray) -> np.ndarray:
+        t = self.table
+        return t.present[pages] & (t.dirty[pages] | (t.swap_slot[pages] < 0))
 
     def take(self, n: int) -> np.ndarray:
         """The ``n`` oldest dirty resident pages, ascending."""
-        if not self.current:
-            self._sort()
-        return self.walk(n)
-
-    def walk(self, n: int) -> np.ndarray:
-        """Up to ``n`` queued pages still dirty resident, ascending.
-
-        Membership is read from the table, so a found page is dirty
-        resident even when the queue is stale; only a current queue is
-        guaranteed to hold *every* such page, in order.
-        """
-        t = self.table
-        pages, head = self.pages, self.head
-        # the previous burst's pages usually lead the walk, now clean
-        k = 2 * n
-        while True:
-            chunk = pages[head:head + k]
-            live = np.flatnonzero(
-                t.present[chunk] & (t.dirty[chunk] | (t.swap_slot[chunk] < 0))
-            )
-            if live.size >= n or head + k >= pages.size:
-                break
-            k *= 2
-        if live.size == 0:
-            self.head = pages.size
-            return chunk[:0]
-        # entries before the first live one have left the set for good
-        self.head = head + int(live[0])
-        return np.sort(chunk[live[:n]])
+        burst = super().take(n)
+        burst.sort()  # a fresh copy (or an empty view): sort in place
+        return burst
 
 
 class BackgroundWriter:
@@ -197,18 +174,25 @@ class BackgroundWriter:
                 # Write oldest-referenced dirty pages first: they are the
                 # least likely to be re-dirtied before the switch.
                 burst = queue.take(self.batch_pages)
-                if burst.size == 0:
-                    yield vmm.env.timeout(self.poll_s)
-                    continue
-                yield from vmm.evict_batch(
-                    VictimBatch(pid, burst),
-                    priority=PRIO_BACKGROUND,
-                    keep_resident=True,
-                )
-                self.pages_written += burst.size
-                self.bursts += 1
-                self._c_bursts.inc()
-                self._c_pages.inc(int(burst.size))
+                if burst.size:
+                    written = yield from vmm.evict_batch(
+                        VictimBatch(pid, burst),
+                        priority=PRIO_BACKGROUND,
+                        keep_resident=True,
+                    )
+                    if written:
+                        if written == burst.size:
+                            queue.skip_taken()
+                        self.pages_written += written
+                        self.bursts += 1
+                        self._c_bursts.inc()
+                        self._c_pages.inc(written)
+                        continue
+                    if pid not in vmm.tables:
+                        return  # process exited
+                # nothing to write, or every page is pinned by an
+                # in-flight fault: look again later, not at this instant
+                yield vmm.env.timeout(self.poll_s)
         except Interrupt:
             return
         except DiskFailure:

@@ -46,9 +46,13 @@ def compress_runs(pages: np.ndarray) -> list[PageRun]:
     batch (the batch is written as one I/O); runs are emitted in
     ascending base order.
     """
-    arr = np.unique(np.asarray(pages, dtype=np.int64))
+    arr = np.asarray(pages, dtype=np.int64)
     if arr.size == 0:
         return []
+    if (np.diff(arr) == 1).all():
+        # the common batch: one ascending contiguous run
+        return [PageRun(int(arr[0]), int(arr.size))]
+    arr = np.unique(arr)
     breaks = np.flatnonzero(np.diff(arr) != 1) + 1
     return [
         PageRun(int(run[0]), int(run.size))

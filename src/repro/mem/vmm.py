@@ -1243,15 +1243,24 @@ class VirtualMemoryManager:
 
         Dirty pages (or pages with no swap copy yet) are written in a
         single disk request; clean pages with valid swap copies are
-        discarded free of I/O.  With ``keep_resident=True`` the pages
-        stay in memory and only the dirty ones are cleaned — this is the
-        §3.4 background-writing mode.
+        discarded free of I/O.  Returns the number of pages evicted.
 
         Evictions are serialised VMM-wide; victims selected before the
-        lock wait are re-validated afterwards.  Returns the number of
-        pages actually evicted (0 in keep-resident mode).
+        lock wait are re-validated afterwards, and pages an in-flight
+        fault demands are never touched.
+
+        With ``keep_resident=True`` the pages stay in memory and are
+        only cleaned — the §3.4 background-writing mode — and the
+        return value is the number of pages written.  The caller must
+        pass dirty resident pages (``present & (dirty | no swap slot)``)
+        chosen in the instant of the call: only the eviction lock's
+        holder can clean or evict a page, so when the lock is granted at
+        once they are still dirty resident, and they are checked again
+        only after a contended wait.
         """
         lock = self._evict_lock.request()
+        # granted at the request: no other eviction can run before ours
+        contended = not lock.granted
         try:
             yield lock
         except BaseException:
@@ -1266,14 +1275,16 @@ class VirtualMemoryManager:
             table = self.tables.get(batch.pid)
             if table is None:
                 return 0  # process exited while we waited
+            recheck = contended or not keep_resident
             # Re-validate: drop victims that were evicted, exited or are
             # now part of an in-flight fault's demand set.  The fancy-
             # index copies are skipped when nothing went stale — the
             # overwhelmingly common case on this hot path.
             pages = batch.pages
-            present = table.present[pages]
-            if not present.all():
-                pages = pages[present]
+            if recheck:
+                present = table.present[pages]
+                if not present.all():
+                    pages = pages[present]
             counts = self._demand_counts[batch.pid]
             if pages.size:
                 demanded = counts[pages]
@@ -1283,8 +1294,10 @@ class VirtualMemoryManager:
                 return 0
 
             no_slot_mask = table.swap_slot[pages] < 0
-            needs_write = table.dirty[pages] | no_slot_mask
-            to_write = pages[needs_write]
+            if recheck:
+                to_write = pages[table.dirty[pages] | no_slot_mask]
+            else:
+                to_write = pages
             if to_write.size:
                 # a page with no swap copy always needs a write, so the
                 # no-slot subset of `pages` equals the no-slot subset of
@@ -1297,10 +1310,16 @@ class VirtualMemoryManager:
                 req = self.disk.submit(slots, "write", priority, pid=batch.pid)
                 yield req
                 if batch.pid not in self.tables:
-                    return 0  # process exited during the write
+                    # process exited during the write
+                    return int(to_write.size) if keep_resident else 0
                 self.stats.pages_swapped_out += to_write.size
                 self._c_pages_out.inc(to_write.size)
                 table.mark_clean(to_write)
+                if keep_resident:
+                    # Background cleaning (§3.4): pages stay in memory,
+                    # so this is not a flush and must not reach the
+                    # recorder.
+                    return int(to_write.size)
                 # A fault service may have started demanding some of
                 # these pages while the write was in flight; they were
                 # written (wasted I/O) but must stay resident.
@@ -1311,10 +1330,7 @@ class VirtualMemoryManager:
                     to_write = to_write[counts[to_write] == 0]
                 if pages.size == 0:
                     return 0
-
-            if keep_resident:
-                # Background cleaning (§3.4): pages stay in memory, so
-                # this is not a flush and must not reach the recorder.
+            elif keep_resident:
                 return 0
 
             self.stats.pages_discarded += pages.size - to_write.size

@@ -25,6 +25,7 @@ from repro.mem import MemoryParams, VirtualMemoryManager
 from repro.mem.index import PageIndex
 from repro.obs import Registry
 from repro.sim import Environment
+from repro.sim.resources import hold
 
 NUM_PAGES = 48
 BATCH = 6
@@ -98,6 +99,8 @@ class Mutator:
         elif op == "unpin":
             if self.pins:
                 vmm._remove_demand(self.pins.pop(0))
+        elif op == "hold_lock":  # another eviction: the next burst waits
+            vmm.env.process(hold(vmm.env, vmm._evict_lock, 0.002))
         else:
             raise AssertionError(op)
 
@@ -108,7 +111,7 @@ class Mutator:
 
 OPS = ("touch", "touch_runs", "stamp", "stamp_values", "fault_in", "evict",
        "mark_clean", "assign_slots", "release_slots", "clear_referenced",
-       "pin", "unpin", "probe")
+       "pin", "unpin", "hold_lock", "probe")
 
 steps = st.lists(
     st.tuples(
@@ -131,20 +134,31 @@ def make_node():
     return env, vmm
 
 
-def record_bursts(vmm, mut):
+def dirty_resident(table, pages):
+    return table.present[pages] & (table.dirty[pages] |
+                                   (table.swap_slot[pages] < 0))
+
+
+def record_bursts(vmm, mut, writer):
     """Spy on the writer's bursts: (submitted pages, fresh-scan pick).
 
-    Pins last until the end of the burst they land in.  A burst whose
-    every page is pinned writes nothing and takes no simulated time, so
-    a pin that outlived it would spin the writer at one instant.
+    Pins last until the end of the burst they land in.  Every burst also
+    checks the queue's head: the entries it moved past — after a fully
+    written burst, without reading them again — must all have left the
+    dirty set while the queue is current.
     """
     seen = []
     submit = vmm.evict_batch
 
     def spy(batch, **kw):
         seen.append((batch.pages.copy(), fresh_burst(mut.table, BATCH)))
-        yield from submit(batch, **kw)
+        queue = writer._queue
+        if queue.current:
+            passed = queue.pages[:queue.head]
+            assert not dirty_resident(mut.table, passed).any()
+        written = yield from submit(batch, **kw)
         mut.unpin_all()
+        return written
 
     vmm.evict_batch = spy
     return seen
@@ -164,8 +178,8 @@ def test_every_burst_equals_a_fresh_stable_argsort(rescan, script):
         # a dirty working set with tied stamps so the first bursts have work
         mut.apply("fault_in", np.arange(0, NUM_PAGES, 2), 0)
         mut.apply("touch", np.arange(0, NUM_PAGES, 2), 2)
-        seen = record_bursts(vmm, mut)
         bw = BackgroundWriter(vmm, batch_pages=BATCH, poll_s=0.003)
+        seen = record_bursts(vmm, mut, bw)
         bw.start(1)
         probes = []
 
@@ -292,3 +306,212 @@ def test_deadline_misses_match_a_full_scan_on_fig6(monkeypatch):
     assert any(scans)
     assert reg.value("bg_deadline_misses") == sum(scans)
     assert len(fallbacks) < len(scans)
+
+
+# ---------------------------------------------------------------------------
+# keep_resident bursts: the re-check after a contended wait, pinned
+# bursts, written bursts skipped
+# ---------------------------------------------------------------------------
+
+def dirty_node(dirty_pages=32):
+    env = Environment()
+    vmm = VirtualMemoryManager(
+        env, MemoryParams(total_frames=256), Disk(env, DiskParams())
+    )
+    vmm.register_process(1, 128)
+    env.run(until=env.process(
+        vmm.touch(1, np.arange(dirty_pages), dirty=True)))
+    return env, vmm
+
+
+def test_burst_after_a_contended_wait_is_checked_again():
+    """Pages another eviction cleaned or evicted while the writer waited
+    for the lock are not written again."""
+    env, vmm = dirty_node()
+    table = vmm.tables[1]
+    lock = vmm._evict_lock
+    cleaned, evicted = np.arange(0, 8), np.arange(0, 4)
+
+    def other_eviction():
+        req = lock.request()
+        yield req
+        yield env.timeout(0.01)  # the writer takes its burst and waits
+        table.assign_slots(cleaned, vmm.swap.allocate(cleaned.size))
+        table.mark_clean(cleaned)
+        table.evict(evicted)
+        vmm.frames.release(evicted.size)
+        lock.release(req)
+
+    env.process(other_eviction())
+    bw = BackgroundWriter(vmm, batch_pages=16, poll_s=10.0)
+    bw.start(1)
+    env.run(until=env.now + 1.0)
+    bw.stop()
+    # first burst 0..15 writes only 8..15; the second writes 16..31
+    assert bw.bursts == 2 and bw.pages_written == 24
+    assert vmm.disk.total_pages["write"] == 24
+    assert not table.present[evicted].any()
+    assert not dirty_resident(table, np.arange(32)).any()
+    vmm.check_invariants()
+
+
+def test_a_fully_pinned_burst_waits_instead_of_spinning():
+    """Every page of the burst is pinned by an in-flight fault until
+    t=1: the writer lets simulated time pass instead of retrying at the
+    same instant, and counts only the pages it wrote."""
+    env = Environment()
+    vmm = VirtualMemoryManager(
+        env, MemoryParams(total_frames=256), Disk(env, DiskParams())
+    )
+    table = vmm.register_process(1, 128)
+    pages = np.arange(64)
+    vmm.frames.allocate(pages.size)
+    table.make_resident(pages)
+    table.record_access(pages, 0.0, dirty=True)
+    pin = (1, pages)
+    vmm._add_demand(pin)
+
+    def unpin():
+        yield env.timeout(1.0)
+        vmm._remove_demand(pin)
+
+    env.process(unpin())
+    bw = BackgroundWriter(vmm, batch_pages=64, poll_s=0.25)
+    bw.start(1)
+    for _ in range(20_000):
+        if env.peek() > 3.0:
+            break
+        env.step()
+    assert env.now > 1.0
+    assert bw.bursts == 1 and bw.pages_written == 64
+    assert vmm.disk.total_pages["write"] == 64
+    assert not table.dirty[pages].any()
+    bw.stop()
+
+
+def test_pinned_pages_of_a_partly_written_burst_stay_queued():
+    """A burst that wrote only some of its pages keeps the rest (pinned
+    by a fault until t=1) at the head of the queue for later bursts."""
+    env, vmm = dirty_node()
+    table = vmm.tables[1]
+    pin = (1, np.arange(4))
+    vmm._add_demand(pin)
+
+    def unpin():
+        yield env.timeout(1.0)
+        vmm._remove_demand(pin)
+
+    env.process(unpin())
+    bw = BackgroundWriter(vmm, batch_pages=16, poll_s=0.25)
+    bw.start(1)
+    env.run(until=2.0)
+    bw.stop()
+    assert bw.pages_written == 32
+    assert vmm.disk.total_pages["write"] == 32
+    assert not dirty_resident(table, np.arange(32)).any()
+
+
+def test_a_fully_written_burst_is_not_read_again():
+    """After a burst is written in full, the next walk starts past it."""
+    env, vmm = dirty_node()
+    bw = BackgroundWriter(vmm, batch_pages=16, poll_s=10.0)
+    reads = []
+    live = _DirtyQueue._live
+
+    def spy(self, pages):
+        reads.append(pages.tolist())
+        return live(self, pages)
+
+    with mock.patch.object(_DirtyQueue, "_live", spy):
+        bw.start(1)
+        env.run(until=env.now + 1.0)
+        bw.stop()
+    assert bw.bursts == 2 and bw.pages_written == 32
+    assert reads[0][0] == 0
+    # every later walk starts past the first burst (pages 0..15)
+    assert len(reads) > 1
+    assert all(page >= 16 for walk in reads[1:] for page in walk)
+
+
+# ---------------------------------------------------------------------------
+# the aggressive page-out's resident cursor
+# ---------------------------------------------------------------------------
+
+AO_BATCH = 4
+#: mutations only the eviction lock's holder may make
+AO_LOCKED = ("evict", "mark_clean", "release_slots")
+
+ao_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("fault_in", "evict", "pin", "unpin", "touch",
+                         "stamp", "release_slots", "mark_clean",
+                         "hold_lock")),
+        st.lists(st.integers(0, NUM_PAGES - 1), min_size=1, max_size=12),
+        st.integers(0, 5),
+        # now, between the lock request and its grant, or mid-write
+        st.sampled_from([None, 0.0, 0.001]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.lists(st.integers(0, NUM_PAGES - 1), min_size=1,
+                      max_size=NUM_PAGES, unique=True),
+       script=ao_steps)
+def test_every_ao_batch_is_the_fresh_resident_prefix(start, script):
+    """Each aggressive page-out batch equals
+    ``index.resident_pages()[:batch_pages]`` at the moment it is taken,
+    under pins, evictions by others and faults of the outgoing pid
+    mid-page-out."""
+    from repro.core import AggressivePageOut
+
+    env, vmm = make_node()
+    table = vmm.tables[1]
+    mut = Mutator(vmm, 1)
+    mut.apply("fault_in", start, 0)
+    mut.apply("touch", start, 1)  # half of them dirty
+    steps = iter(script)
+    seen = []
+    submit = vmm.evict_batch
+
+    def later(op, pages, t, delay):
+        yield env.timeout(delay)
+        if op in AO_LOCKED:  # another eviction: it waits for the lock
+            req = vmm._evict_lock.request()
+            yield req
+            mut.apply(op, pages, t)
+            vmm._evict_lock.release(req)
+        else:
+            mut.apply(op, pages, t)
+
+    def spy(batch, *args, **kw):
+        seen.append((batch.pages.copy(),
+                     table.index.resident_pages()[:AO_BATCH]))
+        # every batch after the script evicts a page, so a page-out
+        # that does not end within this many batches is stuck
+        assert len(seen) <= len(script) + 16 * NUM_PAGES, "page-out stuck"
+        step = next(steps, None)
+        if step is None:
+            mut.unpin_all()  # the script is done: let the page-out end
+        else:
+            op, pages, t, delay = step
+            if delay is None and op not in AO_LOCKED:
+                mut.apply(op, pages, t)
+            else:
+                env.process(later(op, pages, t, delay or 0.0))
+        return (yield from submit(batch, *args, **kw))
+
+    vmm.evict_batch = spy
+    ao = AggressivePageOut(vmm, batch_pages=AO_BATCH)
+    env.run(until=env.process(
+        ao.run(1, target_free=vmm.params.total_frames)))
+    mut.unpin_all()
+
+    assert seen
+    for got, want in seen:
+        np.testing.assert_array_equal(got, want)
+    assert table.resident_count == 0
+    env.run(until=env.now + 0.1)  # let delayed mutations and holds land
+    mut.unpin_all()
+    vmm.check_invariants()

@@ -1,6 +1,7 @@
 """Unit + property tests for the page recorder (§3.3)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,40 @@ def test_compress_unsorted_input():
 
 def test_compress_empty():
     assert compress_runs(np.array([], dtype=np.int64)) == []
+
+
+def reference_runs(pages):
+    """Maximal runs of the sorted distinct pages, by ``np.unique``."""
+    arr = np.unique(np.asarray(pages, dtype=np.int64))
+    if arr.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(arr) != 1) + 1
+    return [PageRun(int(r[0]), int(r.size)) for r in np.split(arr, breaks)]
+
+
+@pytest.mark.parametrize("pages", [
+    [4],
+    [0, 1, 2, 3],                  # one ascending run
+    [9, 8, 7, 6],                  # reversed: contiguous, not ascending
+    [3, 1, 2, 5, 4],               # unsorted
+    [5, 5, 6, 7],                  # duplicate inside a run
+    [2, 3, 3],                     # duplicate at the end
+    [6, 7, 8, 6],                  # duplicate of the first page
+    [1, 2, 4, 5],                  # gapped
+    [10, 11, 12, 20, 21, 1],       # gapped and unsorted
+    [-1, 0, 1],                    # steps of one across zero
+], ids=lambda p: ",".join(map(str, p)))
+def test_compress_matches_unique_reference(pages):
+    assert compress_runs(np.array(pages)) == reference_runs(pages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.booleans())
+def test_compress_matches_unique_reference_property(pages, ascending):
+    if ascending:
+        pages = sorted(pages)
+    assert compress_runs(np.array(pages, dtype=np.int64)) == \
+        reference_runs(pages)
 
 
 def test_pagerun_expands():
